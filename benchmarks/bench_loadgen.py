@@ -1,7 +1,7 @@
 """Open-loop load-generator bench for the multi-process serving stack.
 
-Measures aggregate serving throughput of :class:`repro.serving.ScaleOutServer`
-(the ``--workers N`` deployment) at worker counts 1 / 2 / 4, driving an
+Measures aggregate serving throughput of :class:`repro.serving.PredictionServer`
+in its ``--workers N`` deployment at worker counts 1 / 2 / 4, driving an
 **open-loop** arrival schedule at a fixed target QPS chosen well above the
 fleet's capacity.  Because arrivals do not wait for completions, the achieved
 rate under saturation is the fleet's capacity — so the recorded rows/sec
@@ -35,7 +35,7 @@ from _harness import RESULTS_DIR, once, record_table
 
 from repro.datasets import make_correlated_instances
 from repro.pipeline import run_pipeline
-from repro.serving import ScaleOutServer
+from repro.serving import PredictionServer
 
 WORKER_COUNTS = (1, 2, 4)
 POOL_ROWS = 300
@@ -169,7 +169,7 @@ def _run_open_loop(server, target_qps):
 
 def _bench_workers(n_workers):
     _setup()
-    with ScaleOutServer(
+    with PredictionServer(
         STATE["artifact_path"], workers=n_workers, port=0,
         access_log=False, boot_timeout=180.0,
     ) as server:
@@ -209,7 +209,7 @@ def test_zzz_render_loadgen(benchmark):
         )
         text = record_table(
             "BENCH_loadgen",
-            "Open-loop serving scale-out (ScaleOutServer, "
+            "Open-loop serving scale-out (PredictionServer, "
             f"{BATCH_ROWS} rows/request, {cores} usable cores)",
             [
                 "workers", "rows/sec", "req/sec",

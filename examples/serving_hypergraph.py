@@ -68,7 +68,7 @@ with tempfile.TemporaryDirectory() as tmp:
     print("UNK-device probs:", np.round(unk[0], 4).tolist(),
           "| unk_values:", engine.stats["unk_values"])
 
-    # 3b. The same artifact behind micro-batched HTTP.
+    # 3b. The same artifact behind HTTP, scored in process (workers=0).
     with PredictionServer(artifact, port=0) as server:
         body = json.dumps({
             "numerical": dataset.numerical[0].tolist(),

@@ -23,20 +23,22 @@ example serves the same artifact through both:
    (≈7× faster top_k at pool=10⁵, ≈21× at 10⁶, per the serving bench).
    The served probabilities are compared against the exact engine;
 4. serve over HTTP with ``--index ivf`` semantics
-   (``PredictionServer(..., index="ivf", nprobe=8)``), checking
+   (``PredictionServer(..., index="ivf", nprobe=8)``), scoring in the
+   server's own process (``workers=0``, the default), checking
    ``/healthz`` for the live ``index``/``nprobe``/``index_build_ms``
    and scraping the ``repro_engine_retrieval_*`` series from
    ``/metrics`` — probe counters plus a sampled recall-vs-exact gauge;
 5. scale the same artifact out across **worker processes**
-   (``ScaleOutServer(path, workers=2)`` — the CLI spells it
-   ``gnn4tdl-serve --artifact model.npz --workers 2``): an async front
-   door dispatches to forked workers that memory-map one shared
+   (``PredictionServer(path, workers=2)`` — the CLI spells it
+   ``gnn4tdl-serve --artifact model.npz --workers 2``): the same event
+   loop dispatches to forked workers that memory-map one shared
    read-only copy of the pool state, ``/healthz`` reports the fleet
    (``workers``, ``artifact_generation``, ``artifact_sha``,
    ``mmapped``), ``/metrics`` merges every worker's registry, and
    ``POST /admin/reload`` hot-swaps to a new artifact with zero
    downtime (new workers boot, routing switches atomically, the old
-   set drains behind its in-flight work).
+   set drains behind its in-flight work) — the same swap a
+   ``workers=0`` server performs with a new in-process engine.
 
 The backend registry is the extension point: a future HNSW/LSH backend
 implements ``build(index)`` / ``top_k(queries, k, exclude=None)``,
@@ -61,12 +63,7 @@ import numpy as np
 
 from repro.datasets import make_correlated_instances
 from repro.pipeline import run_pipeline
-from repro.serving import (
-    InferenceEngine,
-    ModelArtifact,
-    PredictionServer,
-    ScaleOutServer,
-)
+from repro.serving import InferenceEngine, ModelArtifact, PredictionServer
 
 # 1. Train an instance (retrieval-attach) pipeline.  The training table
 # becomes the frozen retrieval pool the served queries link into.
@@ -132,11 +129,11 @@ with tempfile.TemporaryDirectory() as tmp:
                                 "repro_engine_attach_fanout")):
                 print("   ", line)
 
-    # 5. Scale out: the same artifact behind an async front door and two
-    # forked workers (`gnn4tdl-serve --artifact model.npz --workers 2`).
+    # 5. Scale out: the same artifact behind the same server, scored in
+    # two forked workers (`gnn4tdl-serve --artifact model.npz --workers 2`).
     # Each worker memory-maps the npz, so the frozen pool occupies one
     # physical copy however many workers serve it.
-    with ScaleOutServer(str(path), workers=2, port=0) as fleet:
+    with PredictionServer(path, workers=2, port=0) as fleet:
         request = urllib.request.Request(fleet.url + "/predict", data=body)
         with urllib.request.urlopen(request) as response:
             print("fleet /predict:    ", json.loads(response.read()))

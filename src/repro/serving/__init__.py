@@ -1,4 +1,4 @@
-"""Model serving: artifacts, inductive inference, micro-batched HTTP.
+"""Model serving: artifacts, inductive inference, an HTTP server.
 
 This subsystem takes any servable pipeline (every formulation whose
 :mod:`repro.formulations` class declares ``servable = True`` —
@@ -16,22 +16,22 @@ request-serving:
   propagate only the query rows — O(B·k·d), independent of pool size;
   multiplex/hetero graphs attach rows to frozen value nodes by vocabulary
   lookup (never-seen values hit the UNK bucket);
-* :mod:`repro.serving.batching` — :class:`MicroBatcher`, coalescing
-  concurrent single-row requests into vectorized engine calls;
-* :mod:`repro.serving.server` — :class:`PredictionServer`, a stdlib-only
-  JSON-over-HTTP endpoint (``python -m repro.serving --artifact model.npz``)
-  with zero-downtime artifact hot swap (``POST /admin/reload``) and a
-  graceful 503-then-drain shutdown;
-* :mod:`repro.serving.scaleout` — :class:`ScaleOutServer`, the
-  multi-process deployment (``--workers N``): an async front door
-  dispatching to N forked workers that memory-map one shared read-only
-  copy of the artifact's pool state.
+* :mod:`repro.serving.batching` — :class:`MicroBatcher`, a library class
+  coalescing concurrent single-row callers into vectorized engine calls
+  (the server does not use it: it scores each request as it arrives);
+* :mod:`repro.serving.server` — :class:`PredictionServer`, the one
+  stdlib-only JSON-over-HTTP server (``python -m repro.serving --artifact
+  model.npz``): a selectors event loop that scores in process
+  (``workers=0``, the default) or dispatches to N forked workers that
+  memory-map one shared read-only copy of the artifact (``workers=N``,
+  :mod:`repro.serving.scaleout`), with zero-downtime artifact hot swap
+  (``POST /admin/reload``) and a graceful 503-then-drain shutdown.
 
 Every layer reports into one :class:`repro.obs.MetricsRegistry`:
 ``GET /metrics`` exposes request/stage latency histograms, engine
-counters and drift gauges, and batcher queue metrics in Prometheus text
-format; ``GET /healthz`` serves locked, consistent counter snapshots
-(see the *Observability* section of ``ROADMAP.md``).
+counters and drift gauges in Prometheus text format; ``GET /healthz``
+serves locked, consistent counter snapshots (see the *Observability*
+section of ``ROADMAP.md``).
 
 Quickstart::
 
@@ -57,15 +57,4 @@ __all__ = [
     "InferenceEngine",
     "MicroBatcher",
     "PredictionServer",
-    "ScaleOutServer",
 ]
-
-
-def __getattr__(name):
-    # ScaleOutServer is imported lazily: it drags in multiprocessing and
-    # the selectors loop, which embedded single-process users never need.
-    if name == "ScaleOutServer":
-        from repro.serving.scaleout import ScaleOutServer
-
-        return ScaleOutServer
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

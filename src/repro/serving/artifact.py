@@ -27,8 +27,10 @@ from __future__ import annotations
 import dataclasses
 import hashlib
 import json
+import os
 import pathlib
-from typing import Dict, Optional, Tuple, Union
+import uuid
+from typing import Callable, Dict, Optional, Tuple, Union
 
 import numpy as np
 
@@ -83,6 +85,21 @@ def _file_sha256(path: pathlib.Path, chunk_bytes: int = 1 << 20) -> str:
                 break
             digest.update(chunk)
     return digest.hexdigest()
+
+
+def _write_atomically(path: pathlib.Path, write: Callable) -> None:
+    """Write ``path`` through a temp file in its directory, then rename it
+    into place: a reader never sees a partial file, and a live memory map
+    of the old file keeps its inode (and its bytes) instead of being
+    overwritten underneath."""
+    tmp = path.with_name(f".{path.name}.{uuid.uuid4().hex}.tmp")
+    try:
+        with open(tmp, "xb") as handle:
+            write(handle)
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
 
 
 def _paths(path: Union[str, pathlib.Path]) -> Tuple[pathlib.Path, pathlib.Path]:
@@ -246,7 +263,11 @@ class ModelArtifact:
 
     # ------------------------------------------------------------------
     def save(self, path: Union[str, pathlib.Path]) -> pathlib.Path:
-        """Write ``<path>.npz`` (arrays) + ``<path>.json`` (config sidecar)."""
+        """Write ``<path>.npz`` (arrays) + ``<path>.json`` (config sidecar).
+
+        Each file is replaced atomically, so re-saving at a path a live
+        ``mmap_mode="r"`` engine serves leaves that engine on the old bytes.
+        """
         npz_path, json_path = _paths(path)
         arrays: Dict[str, np.ndarray] = {
             _PARAM + name: np.asarray(value, dtype=np.float64)
@@ -257,7 +278,7 @@ class ModelArtifact:
         arrays.update(
             {_FORM + name: value for name, value in self.payload_arrays.items()}
         )
-        np.savez(npz_path, **arrays)
+        _write_atomically(npz_path, lambda handle: np.savez(handle, **arrays))
         sidecar = {
             "schema_version": ARTIFACT_SCHEMA_VERSION,
             "formulation": self.formulation,
@@ -268,7 +289,8 @@ class ModelArtifact:
             "metadata": self.metadata,
             "parameters": sorted(self.state_dict),
         }
-        json_path.write_text(json.dumps(sidecar, indent=2, sort_keys=True) + "\n")
+        text = json.dumps(sidecar, indent=2, sort_keys=True) + "\n"
+        _write_atomically(json_path, lambda handle: handle.write(text.encode()))
         self.source_path = npz_path
         self.content_sha = _file_sha256(npz_path)
         return npz_path

@@ -9,16 +9,16 @@ concurrent single-row traffic is won by coalescing: the
 batch, bounded by ``max_batch_size`` rows or ``max_delay_ms`` of waiting,
 whichever comes first.
 
-The batcher owns one consumer thread; producers (HTTP handler threads,
+The batcher owns one consumer thread; producers (caller threads,
 benchmark workers) block in :meth:`submit` until their row's probabilities
 arrive.  ``bench_serving_throughput.py`` measures the resulting speedup.
+The HTTP server does not batch: it scores each request as it arrives.
 
 Observability: when the engine carries a metrics registry (or one is
 passed explicitly) the batcher reports queue-wait and batch-size
 histograms plus live queue-depth / in-flight gauges — the numbers that
 tell an operator whether latency is spent *waiting to batch* or
-*scoring*.  :meth:`flush` drains all in-flight rows, the hook a future
-artifact hot-swap needs before switching engines.
+*scoring*.  :meth:`flush` drains all in-flight rows.
 """
 
 from __future__ import annotations

@@ -394,8 +394,10 @@ class InferenceEngine:
         *distinct* rows share a single vectorized forward pass.
         """
         started = time.perf_counter()
+        # Validated before the sampling decision, so a malformed request
+        # cannot use up a trace sample.
+        numerical, categorical = self._normalize(numerical, categorical)
         with self._root_span("predict_batch"):
-            numerical, categorical = self._normalize(numerical, categorical)
             n = numerical.shape[0]
             out = np.empty((n, self.num_classes))
             with self._lock:
@@ -442,10 +444,10 @@ class InferenceEngine:
         forward pass.
         """
         started = time.perf_counter()
+        numerical, categorical = self._normalize(numerical, categorical)
+        if numerical.shape[0] != 1:
+            raise ValueError("predict scores one row; use predict_batch")
         with self._root_span("predict"):
-            numerical, categorical = self._normalize(numerical, categorical)
-            if numerical.shape[0] != 1:
-                raise ValueError("predict scores one row; use predict_batch")
             key = self._key(numerical[0], categorical[0])
             with self._lock:
                 self.stats["rows"] += 1

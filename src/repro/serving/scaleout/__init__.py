@@ -1,24 +1,18 @@
-"""Multi-process scale-out serving: async front door + worker fleet.
+"""The scoring side of the prediction server, and its forked workers.
 
-``gnn4tdl-serve --artifact model.npz --workers N`` runs this deployment:
+* :mod:`~repro.serving.scaleout.worker` — a serving unit (artifact,
+  engine, registry) and :func:`~repro.serving.scaleout.worker.handle_frame`,
+  the one function that answers a request: the server calls it in process
+  for ``workers=0``, and :func:`~repro.serving.scaleout.worker.worker_main`
+  runs it in each forked worker for ``workers=N``, against a
+  **memory-mapped read-only** load of the artifact, so the workers share
+  one physical copy of the pool state.
+* :mod:`~repro.serving.scaleout.protocol` — the length-prefixed framing
+  between the server's event loop and its forked workers.
 
-* :mod:`~repro.serving.scaleout.frontdoor` — a :mod:`selectors`-based
-  async HTTP front door that parses requests and dispatches to workers
-  over a length-prefixed frame protocol; also the hot-swap
-  (``POST /admin/reload`` / SIGHUP) and fleet-aggregation
-  (``/healthz`` / ``/metrics``) brain.
-* :mod:`~repro.serving.scaleout.worker` — one forked process per worker,
-  each owning a full engine against a **memory-mapped read-only** load of
-  the artifact, so the fleet shares one physical copy of the pool state.
-* :mod:`~repro.serving.scaleout.protocol` — the framing layer.
-
-``--workers 0`` keeps the single-process
-:class:`~repro.serving.PredictionServer`, which stays the correctness
-oracle: both paths score through
-:func:`repro.serving.server.execute_predict`.
+The HTTP side, for both shapes, is :class:`repro.serving.PredictionServer`.
 """
 
-from repro.serving.scaleout.frontdoor import ScaleOutServer
 from repro.serving.scaleout.protocol import (
     FrameDecoder,
     ProtocolError,
@@ -26,13 +20,13 @@ from repro.serving.scaleout.protocol import (
     recv_frame,
     send_frame,
 )
-from repro.serving.scaleout.worker import worker_main
+from repro.serving.scaleout.worker import handle_frame, worker_main
 
 __all__ = [
     "FrameDecoder",
     "ProtocolError",
-    "ScaleOutServer",
     "encode_frame",
+    "handle_frame",
     "recv_frame",
     "send_frame",
     "worker_main",

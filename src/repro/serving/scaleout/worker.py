@@ -1,47 +1,234 @@
-"""Worker process main loop for scale-out serving.
+"""The serving unit and the one function that answers its request frames.
 
-Each worker is one forked process owning a full serving stack — artifact,
+A :class:`Unit` is one full serving stack — artifact,
 :class:`~repro.serving.InferenceEngine` (compiled plan, LRU cache, index)
-and a private :class:`~repro.obs.MetricsRegistry` — and speaking the
-length-prefixed frame protocol (:mod:`repro.serving.scaleout.protocol`)
-over the socketpair the front door handed it at fork.
+and the :class:`~repro.obs.MetricsRegistry` it reports into.
+:func:`handle_frame` answers one request frame against a unit and is the
+whole request path of both deployments: the server calls it in-process
+for ``workers=0``, and :func:`worker_main` calls it in each forked worker
+for ``workers=N``, behind the length-prefixed frame protocol
+(:mod:`repro.serving.scaleout.protocol`) over the socketpair the server
+handed the worker at fork.
 
-The artifact is loaded with ``mmap_mode="r"``: the ``.npz``'s arrays
-become read-only ``np.memmap`` views, so N workers share **one** physical
-copy of the pool state (activations, incidence structures, retrieval
-pools) through the page cache instead of N private copies.  Network
-weights are the exception — ``load_state_dict`` copies them into private
-writable arrays — but weights are tiny next to pool state.
+Forked workers load the artifact with ``mmap_mode="r"``: the ``.npz``'s
+arrays become read-only ``np.memmap`` views, so N workers share **one**
+physical copy of the pool state (activations, incidence structures,
+retrieval pools) through the page cache instead of N private copies.
+Network weights are the exception — ``load_state_dict`` copies them into
+private writable arrays — but weights are tiny next to pool state.
 
-Request semantics are *identical* to the single-process server: predicts
-run through :func:`repro.serving.server.execute_predict`, the same code
-path ``--workers 0`` uses, so the scale-out deployment inherits the
-single-process correctness oracle.
-
-Ops handled (serially — one worker, one request at a time; the front door
-provides the concurrency by fanning out across workers):
+Ops (one frame at a time — a worker scores serially; the server provides
+the concurrency by fanning out across workers):
 
 ``predict``   body = raw HTTP body → reply status + JSON response body
 ``health``    reply body = engine snapshot + artifact identity
-``metrics``   reply body = registry snapshot (merged by the front door)
-``ping``      liveness probe → ``pong``
-``drain``     finish (frames already received are, by FIFO, already
-              answered), reply ``drained``, exit 0
+``metrics``   reply body = registry snapshot (merged by the server)
+``drain``     reply ``drained``; a forked worker then exits 0 (frames
+              received before it are, by FIFO, already answered)
 """
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import os
 import signal
 import socket
-from typing import Dict, Optional
+from typing import Dict, Optional, Tuple, Union
 
+import numpy as np
+
+from repro.obs import MetricsRegistry
+from repro.serving.artifact import ModelArtifact
+from repro.serving.engine import InferenceEngine
 from repro.serving.scaleout.protocol import (
     ProtocolError,
     recv_frame,
     send_frame,
 )
+
+
+class _BadRequest(ValueError):
+    """Client error → HTTP 400 with an explanatory JSON body."""
+
+
+def _parse_row(row: Dict[str, object]) -> Tuple[np.ndarray, Optional[np.ndarray]]:
+    if not isinstance(row, dict) or "numerical" not in row:
+        raise _BadRequest('each row must be an object with a "numerical" list')
+    try:
+        numerical = np.asarray(row["numerical"], dtype=np.float64).reshape(-1)
+    except (TypeError, ValueError) as exc:
+        raise _BadRequest(f"bad numerical values: {exc}") from exc
+    infinite = np.flatnonzero(np.isinf(numerical))
+    if infinite.size:
+        # NaN is the missing-value marker; an infinity is never a value
+        # the fitted preprocessing can place.
+        column = int(infinite[0])
+        raise _BadRequest(
+            f"numerical column {column} is {numerical[column]}; values must "
+            "be finite (send NaN for a missing value)"
+        )
+    categorical = None
+    if row.get("categorical") is not None:
+        try:
+            categorical = np.asarray(row["categorical"], dtype=np.int64).reshape(-1)
+        except (TypeError, ValueError, OverflowError) as exc:
+            raise _BadRequest(f"bad categorical values: {exc}") from exc
+    return numerical, categorical
+
+
+def execute_predict(
+    engine: InferenceEngine, payload: Dict[str, object]
+) -> Dict[str, object]:
+    """Score a parsed ``/predict`` body against ``engine``.
+
+    The wire contract (validation errors, response shape, rounding) of
+    every deployment shape: :func:`handle_frame` is its only caller.
+    """
+    if not isinstance(payload, dict):
+        raise _BadRequest("request body must be a JSON object")
+    if "rows" in payload:
+        rows = payload["rows"]
+        if not isinstance(rows, list) or not rows:
+            raise _BadRequest('"rows" must be a non-empty list')
+        try:
+            # Rows may mix present/absent categoricals; normalize_rows
+            # fills absent ones with the -1 "missing" code so no row's
+            # data is dropped.
+            preprocessor = engine.artifact.preprocessor
+            parsed = [
+                preprocessor.normalize_rows(*_parse_row(row)) for row in rows
+            ]
+            numerical = np.concatenate([num for num, _ in parsed])
+            categorical = np.concatenate([cat for _, cat in parsed])
+            probs = engine.predict_batch(numerical, categorical)
+        except ValueError as exc:  # ragged rows / wrong column count
+            raise _BadRequest(str(exc)) from exc
+    else:
+        numerical, categorical = _parse_row(payload)
+        try:
+            probs = np.atleast_2d(engine.predict(numerical, categorical))
+        except ValueError as exc:  # wrong column count for the artifact
+            raise _BadRequest(str(exc)) from exc
+    return {
+        "predictions": probs.argmax(axis=1).tolist(),
+        "probabilities": probs.round(6).tolist(),
+        "rows": int(probs.shape[0]),
+    }
+
+
+@dataclasses.dataclass
+class Unit:
+    """One serving stack: what :func:`handle_frame` answers against."""
+
+    engine: InferenceEngine
+    registry: MetricsRegistry
+    #: artifact identity and engine configuration, JSON-safe: sent in a
+    #: forked worker's ``ready`` frame and in every ``health`` reply
+    meta: Dict[str, object]
+
+    def __post_init__(self) -> None:
+        self.requests = self.registry.counter(
+            "repro_worker_requests_total",
+            "Frames handled by this worker, by op and status.",
+            labelnames=("op", "status"),
+        )
+
+
+def boot(
+    artifact: Union[ModelArtifact, str],
+    options: Dict[str, object],
+    registry: Optional[MetricsRegistry] = None,
+) -> Unit:
+    """Build a serving unit from an artifact or the path of one.
+
+    ``options``: ``cache_size`` / ``index`` / ``nprobe`` for the engine,
+    ``mmap`` (memory-map a path instead of reading it), ``worker`` and
+    ``generation`` (reported in :attr:`Unit.meta`).
+    """
+    if not isinstance(artifact, ModelArtifact):
+        artifact = ModelArtifact.load(
+            artifact, mmap_mode="r" if options.get("mmap") else None
+        )
+    registry = registry if registry is not None else MetricsRegistry()
+    engine = InferenceEngine(
+        artifact,
+        registry=registry,
+        cache_size=int(options.get("cache_size", 256)),
+        index=options.get("index"),
+        nprobe=options.get("nprobe"),
+    )
+    meta = {
+        "worker": options.get("worker"),
+        "pid": os.getpid(),
+        "generation": int(options.get("generation", 1)),
+        "artifact_sha": artifact.content_sha,
+        "mmapped": artifact.mmap_mode == "r",
+        "formulation": artifact.formulation,
+        "network": artifact.network,
+        "schema_version": int(artifact.schema_version),
+        "incremental": bool(engine.incremental),
+        "compiled": bool(engine.compiled),
+        "compile_ms": float(engine.compile_ms),
+        "index": engine.index,
+        "nprobe": engine.nprobe,
+        "index_build_ms": float(engine.index_build_ms),
+        "pool_rows": artifact.pool_rows,
+        "artifact": artifact.summary(),
+    }
+    return Unit(engine, registry, meta)
+
+
+def handle_frame(
+    unit: Unit, header: Dict[str, object], body: bytes
+) -> Tuple[Dict[str, object], bytes]:
+    """Answer one request frame: ``(reply header, reply body)``.
+
+    Never raises for a bad request: client errors become ``status`` 400
+    and anything else 500, so one request cannot take a worker down.
+    """
+    op = str(header.get("op", ""))
+    reply: Dict[str, object] = {"id": header.get("id"), "op": f"{op}_result"}
+    out = b""
+    if op == "predict":
+        status, rows = 200, 0
+        try:
+            payload = json.loads(body.decode() or "{}")
+        except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+            status, response = 400, {"error": f"invalid JSON body: {exc}"}
+        else:
+            try:
+                response = execute_predict(unit.engine, payload)
+                # allow_nan=False: a 200 body is always standard JSON
+                out = json.dumps(response, allow_nan=False).encode()
+                rows = response["rows"]
+            except _BadRequest as exc:
+                status, response = 400, {"error": str(exc)}
+            except Exception as exc:  # defensive: keep the worker alive
+                status, response = 500, {
+                    "error": f"{type(exc).__name__}: {exc}"
+                }
+        if status != 200:
+            out = json.dumps(response).encode()
+        reply["status"] = status
+        reply["rows"] = rows
+        unit.requests.labels(op="predict", status=str(status)).inc()
+    elif op == "health":
+        out = json.dumps({
+            "meta": unit.meta,
+            "engine": unit.engine.snapshot(),
+        }).encode()
+        unit.requests.labels(op="health", status="200").inc()
+    elif op == "metrics":
+        out = json.dumps(unit.registry.snapshot()).encode()
+        unit.requests.labels(op="metrics", status="200").inc()
+    elif op == "drain":
+        reply["op"] = "drained"
+        reply["engine"] = unit.engine.snapshot()
+    else:
+        reply["op"] = "error"
+        reply["error"] = f"unknown op {op!r}"
+    return reply, out
 
 
 def worker_main(
@@ -56,148 +243,47 @@ def worker_main(
     boundary — failures become ``error`` frames / nonzero exit codes.
     """
     options = dict(options or {})
-    # The front door owns interactive signals: a Ctrl-C in the terminal
-    # reaches the whole process group, but only the front door should act
-    # on it (it drains workers explicitly). SIGTERM keeps its default so
-    # the front door can still kill a hung worker.
+    # The server owns interactive signals: a Ctrl-C in the terminal
+    # reaches the whole process group, but only the server should act on
+    # it (it drains workers explicitly). SIGTERM keeps its default so the
+    # server can still kill a hung worker.
     signal.signal(signal.SIGINT, signal.SIG_IGN)
     if hasattr(signal, "SIGHUP"):
         signal.signal(signal.SIGHUP, signal.SIG_IGN)
 
     try:
-        registry, engine, meta = _boot(artifact_path, options)
+        unit = boot(artifact_path, options)
     except Exception as exc:
         try:
             send_frame(sock, {
-                "op": "error",
-                "error": f"{type(exc).__name__}: {exc}",
-                "worker": options.get("worker"),
-                "pid": os.getpid(),
+                "op": "error", "error": f"{type(exc).__name__}: {exc}",
             })
         except OSError:
             pass
         return 1
-
-    try:
-        send_frame(sock, dict(meta, op="ready"))
-    except OSError:
-        return 1
-
-    return _serve(sock, registry, engine, meta)
-
-
-def _boot(artifact_path: str, options: Dict[str, object]):
-    """Load the artifact (mmap by default) and build the serving stack."""
-    # Imports happen post-fork on purpose: the worker re-resolves modules
-    # in its own process, and a failure lands in the error frame.
-    from repro.obs import MetricsRegistry
-    from repro.serving.artifact import ModelArtifact
-    from repro.serving.engine import InferenceEngine
-
-    mmap_mode = "r" if options.get("mmap", True) else None
-    artifact = ModelArtifact.load(artifact_path, mmap_mode=mmap_mode)
-    registry = MetricsRegistry()
-    engine = InferenceEngine(
-        artifact,
-        registry=registry,
-        cache_size=int(options.get("cache_size", 256)),
-        index=options.get("index"),
-        nprobe=options.get("nprobe"),
-    )
-    generation = int(options.get("generation", 1))
-    registry.gauge(
+    generation = unit.meta["generation"]
+    unit.registry.gauge(
         "repro_engine_artifact_generation",
         "Monotonic artifact generation serving predictions "
         "(bumps on each hot swap).",
     ).set_function(lambda: float(generation))
-    meta = {
-        "worker": options.get("worker"),
-        "pid": os.getpid(),
-        "generation": generation,
-        "artifact_sha": artifact.content_sha,
-        "mmapped": artifact.mmap_mode == "r",
-        "formulation": artifact.formulation,
-        "network": artifact.network,
-        "schema_version": int(artifact.schema_version),
-        "incremental": bool(engine.incremental),
-        "compiled": bool(engine.compiled),
-        "compile_ms": float(engine.compile_ms),
-        "index": engine.index,
-        "nprobe": engine.nprobe,
-        "index_build_ms": float(engine.index_build_ms),
-        "pool_rows": artifact.pool_rows,
-    }
-    return registry, engine, meta
 
+    try:
+        send_frame(sock, dict(unit.meta, op="ready"))
+    except OSError:
+        return 1
 
-def _serve(sock, registry, engine, meta) -> int:
-    from repro.serving.server import (
-        _BadRequest,
-        execute_predict,
-    )
-
-    requests = registry.counter(
-        "repro_worker_requests_total",
-        "Frames handled by this worker, by op and status.",
-        labelnames=("op", "status"),
-    )
     while True:
         try:
             frame = recv_frame(sock)
-        except ProtocolError:
+        except (ProtocolError, OSError):
             return 1
-        except OSError:
-            return 1
-        if frame is None:  # front door is gone
+        if frame is None:  # the server is gone
             return 0
-        header, body = frame
-        op = str(header.get("op", ""))
-        reply: Dict[str, object] = {"id": header.get("id"), "op": f"{op}_result"}
-        out = b""
-        if op == "predict":
-            status = 200
-            try:
-                payload = json.loads(body.decode() or "{}")
-            except (UnicodeDecodeError, json.JSONDecodeError) as exc:
-                status, response = 400, {"error": f"invalid JSON body: {exc}"}
-            else:
-                try:
-                    response = execute_predict(engine, payload)
-                except _BadRequest as exc:
-                    status, response = 400, {"error": str(exc)}
-                except Exception as exc:  # defensive: keep the worker alive
-                    status, response = 500, {
-                        "error": f"{type(exc).__name__}: {exc}"
-                    }
-            reply["status"] = status
-            reply["rows"] = int(response.get("rows", 0)) if status == 200 else 0
-            out = json.dumps(response).encode()
-            requests.labels(op="predict", status=str(status)).inc()
-        elif op == "health":
-            out = json.dumps({
-                "meta": meta,
-                "engine": engine.snapshot(),
-            }).encode()
-            requests.labels(op="health", status="200").inc()
-        elif op == "metrics":
-            out = json.dumps(registry.snapshot()).encode()
-            requests.labels(op="metrics", status="200").inc()
-        elif op == "ping":
-            reply["op"] = "pong"
-        elif op == "drain":
-            # FIFO framing means every predict received before this frame
-            # has already been answered — nothing in flight can be lost.
-            reply["op"] = "drained"
-            reply["engine"] = engine.snapshot()
-            try:
-                send_frame(sock, reply)
-            except OSError:
-                pass
-            return 0
-        else:
-            reply["op"] = "error"
-            reply["error"] = f"unknown op {op!r}"
+        reply, out = handle_frame(unit, *frame)
         try:
             send_frame(sock, reply, out)
         except OSError:
             return 1
+        if reply["op"] == "drained":
+            return 0

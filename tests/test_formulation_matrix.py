@@ -19,6 +19,8 @@ never-seen categorical code for every formulation whose scorer keeps a
 value vocabulary (detected by its ``unk_values`` counter, not by name).
 """
 
+import json
+
 import numpy as np
 import pytest
 
@@ -26,6 +28,7 @@ from repro import formulations
 from repro.datasets import make_fraud
 from repro.pipeline import run_pipeline
 from repro.serving import InferenceEngine, ModelArtifact
+from repro.serving.scaleout.worker import boot, handle_frame
 from repro.tensor.ops import softmax_rows
 
 SEED = 20260729
@@ -355,3 +358,53 @@ def test_never_seen_value_serves_through_unk(form, network, dataset, trained):
     assert engine.stats["unk_values"] == 5
     assert np.isfinite(probs).all()
     np.testing.assert_allclose(probs.sum(axis=1), 1.0, atol=1e-10)
+
+
+def _strict_json(body):
+    """Parse ``body`` as standard JSON: NaN/Infinity are not JSON."""
+    def refuse(constant):
+        raise ValueError(f"non-standard JSON constant {constant}")
+
+    return json.loads(body.decode(), parse_constant=refuse)
+
+
+@pytest.mark.parametrize(("form", "network"), MATRIX)
+def test_wire_contract_is_strict(form, network, dataset, trained):
+    # The request path every deployment shares (handle_frame →
+    # execute_predict): an infinite numerical value is a 400 naming its
+    # column, NaN stays the missing-value marker, and every 200 body is
+    # standard JSON with finite probabilities summing to 1 per row.
+    unit = boot(trained(form, network).export_artifact(), {"cache_size": 0})
+
+    def predict(payload):
+        reply, body = handle_frame(
+            unit, {"op": "predict"}, json.dumps(payload).encode()
+        )
+        return reply["status"], body
+
+    row = dataset.numerical[0].tolist()
+    for value in (float("inf"), float("-inf")):
+        bad = list(row)
+        bad[1] = value
+        status, body = predict({"numerical": bad})
+        assert status == 400
+        assert "numerical column 1" in _strict_json(body)["error"]
+        status, body = predict({"rows": [{"numerical": row}, {"numerical": bad}]})
+        assert status == 400
+
+    missing = list(row)
+    missing[0] = float("nan")
+    rows = [
+        {"numerical": row, "categorical": dataset.categorical[0].tolist()},
+        {"numerical": missing},
+        {"numerical": dataset.numerical[1].tolist(),
+         "categorical": [10_000_000] * dataset.num_categorical},
+    ]
+    for payload in rows + [{"rows": rows}]:
+        status, body = predict(payload)
+        assert status == 200
+        response = _strict_json(body)
+        probs = np.asarray(response["probabilities"])
+        assert probs.shape == (response["rows"], dataset.num_classes)
+        assert np.isfinite(probs).all()
+        np.testing.assert_allclose(probs.sum(axis=1), 1.0, atol=1e-5)

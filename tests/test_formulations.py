@@ -9,6 +9,7 @@ rejection) and the enriched ``/healthz`` payload.
 """
 
 import json
+import urllib.request
 
 import numpy as np
 import pytest
@@ -262,14 +263,18 @@ class TestArtifactSchema:
 # ----------------------------------------------------------------------
 # health endpoint
 # ----------------------------------------------------------------------
+def _http_json(server, path, payload=None):
+    data = None if payload is None else json.dumps(payload).encode()
+    request = urllib.request.Request(server.url + path, data=data)
+    with urllib.request.urlopen(request, timeout=10) as response:
+        return json.loads(response.read())
+
+
 class TestHealthz:
     @pytest.mark.parametrize("form", ["multiplex", "feature"])
     def test_health_reports_formulation_and_schema(self, form, results):
-        server = PredictionServer(results[form].export_artifact(), port=0)
-        try:
-            health = server.health()
-        finally:
-            server.shutdown()
+        with PredictionServer(results[form].export_artifact(), port=0) as server:
+            health = _http_json(server, "/healthz")
         assert health["formulation"] == form
         assert health["schema_version"] == ARTIFACT_SCHEMA_VERSION
         if form == "multiplex":
@@ -281,7 +286,7 @@ class TestHealthz:
         with PredictionServer(
             results["multiplex"].export_artifact(), port=0
         ) as server:
-            payload = server.predict({
+            payload = _http_json(server, "/predict", {
                 "numerical": dataset.numerical[0].tolist(),
                 "categorical": [10_000_000, -1],  # UNK device, missing merchant
             })

@@ -1,4 +1,6 @@
-"""HTTP error-path tests for :class:`~repro.serving.PredictionServer`.
+"""HTTP tests for :class:`~repro.serving.PredictionServer`, in both of
+its deployment shapes: scoring in process (``workers=0``) and in a forked
+worker (``workers=1``).
 
 A public prediction endpoint sees garbage: malformed JSON, rows with the
 wrong arity, unknown routes, oversized bodies.  Each must come back as a
@@ -8,9 +10,11 @@ over a real socket (ephemeral port) against a hypergraph artifact, which
 also pins the ``/healthz`` contract for the newly-servable formulation.
 """
 
+import dataclasses
 import http.client
 import json
 import logging
+import socket
 import threading
 import time
 
@@ -20,7 +24,9 @@ import pytest
 from repro.datasets import make_fraud
 from repro.formulations import HypergraphFormulation
 from repro.serving import ModelArtifact, PredictionServer
+from repro.serving import server as server_module
 from repro.serving.artifact import ARTIFACT_SCHEMA_VERSION
+from repro.serving.scaleout import worker as worker_module
 
 
 @pytest.fixture(scope="module")
@@ -49,10 +55,51 @@ def artifact(dataset):
     )
 
 
+@pytest.fixture(scope="module", params=[0, 1], ids=["workers0", "workers1"])
+def workers(request):
+    return request.param
+
+
 @pytest.fixture(scope="module")
-def server(artifact):
-    with PredictionServer(artifact, port=0, max_body_bytes=4096) as srv:
+def served(artifact, workers, tmp_path_factory):
+    """What a server with ``workers`` is given: the in-memory artifact, or
+    (forked workers map a file) a saved copy of it."""
+    if workers == 0:
+        return artifact
+    path = tmp_path_factory.mktemp("hypergraph") / "model"
+    return str(dataclasses.replace(artifact).save(path))
+
+
+@pytest.fixture(scope="module")
+def server(served, workers):
+    with PredictionServer(
+        served, workers=workers, port=0, max_body_bytes=4096
+    ) as srv:
         yield srv
+
+
+def _engine_labels(workers):
+    """Labels of an engine gauge: forked workers' gauges carry their id."""
+    return '{formulation="hypergraph"}' if workers == 0 else (
+        '{formulation="hypergraph",worker="0"}'
+    )
+
+
+def _hold_boots(monkeypatch, tmp_path):
+    """Make every later engine boot wait until the returned ``release`` is
+    called (a file, so forked workers see it too)."""
+    gate = tmp_path / "release-boots"
+    original = worker_module.boot
+
+    def held_boot(*args, **kwargs):
+        deadline = time.monotonic() + 30
+        while not gate.exists() and time.monotonic() < deadline:
+            time.sleep(0.01)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(server_module, "boot", held_boot)
+    monkeypatch.setattr(worker_module, "boot", held_boot)
+    return gate.touch
 
 
 def _request(server, method, path, body=None, headers=None):
@@ -194,12 +241,24 @@ class TestHealthz:
         # The locked engine snapshot: every scored row is accounted for by
         # exactly one of cache-hit or forward.
         assert engine["cache_hits"] + engine["forward_rows"] == engine["rows"]
-        assert health["batcher"]["rows"] <= engine["rows"]
         assert health["server"]["rejected_oversize"] >= 0
+
+    def test_healthz_lists_forked_workers_only(self, server, workers):
+        # workers=0 lists no pids besides the server's own process, so a
+        # consumer summing memory over the server plus workers_detail
+        # counts each process once.
+        status, health = _request(server, "GET", "/healthz")
+        assert status == 200
+        assert health["workers"] == workers
+        assert len(health["workers_detail"]) == workers
+        if workers == 0:
+            assert health["workers_detail"] == []
 
 
 class TestMetricsEndpoint:
-    def test_metrics_exposes_request_and_stage_histograms(self, server, dataset):
+    def test_metrics_exposes_request_and_stage_histograms(
+        self, server, dataset, workers
+    ):
         status, payload = _request(
             server, "POST", "/predict", body=json.dumps(_good_row(dataset))
         )
@@ -210,12 +269,12 @@ class TestMetricsEndpoint:
         assert "# TYPE repro_http_request_duration_seconds histogram" in text
         assert "# TYPE repro_request_duration_seconds histogram" in text
         assert "# TYPE repro_stage_duration_seconds histogram" in text
-        # At least one predict flowed through: the engine-side request
-        # histogram and every scorer stage observed it.
+        # At least one single-row predict flowed through: the engine-side
+        # request histogram and every scorer stage observed it.
         assert _sample_value(
             text,
             'repro_request_duration_seconds_count'
-            '{formulation="hypergraph",endpoint="predict_batch"}',
+            '{formulation="hypergraph",endpoint="predict"}',
         ) >= 1
         # plan_execute replaces propagate: the server's engine defaults to
         # the compiled plan path.
@@ -231,12 +290,8 @@ class TestMetricsEndpoint:
             "repro_engine_attach_fanout", "repro_engine_cache_entries",
         ):
             assert np.isfinite(
-                _sample_value(text, f'{gauge}{{formulation="hypergraph"}}')
+                _sample_value(text, gauge + _engine_labels(workers))
             )
-        # Batcher instrumentation rides the same registry.
-        assert _sample_value(text, "repro_batcher_queue_depth") == 0
-        assert _sample_value(text, "repro_batcher_in_flight") == 0
-        assert "# TYPE repro_batcher_queue_wait_seconds histogram" in text
 
     def test_metrics_content_type_is_prometheus_text(self, server):
         status, content_type, _ = _request_raw(server, "GET", "/metrics")
@@ -280,7 +335,9 @@ class TestMetricsEndpoint:
 
 
 class TestAccessLog:
-    def test_structured_json_access_log_when_enabled(self, artifact, dataset):
+    def test_structured_json_access_log_when_enabled(
+        self, served, workers, dataset
+    ):
         records = []
 
         class Capture(logging.Handler):
@@ -293,7 +350,9 @@ class TestAccessLog:
         logger.addHandler(handler)
         logger.setLevel(logging.INFO)
         try:
-            with PredictionServer(artifact, port=0, access_log=True) as srv:
+            with PredictionServer(
+                served, workers=workers, port=0, access_log=True
+            ) as srv:
                 _request(srv, "POST", "/predict", body=json.dumps(_good_row(dataset)))
                 _request(srv, "GET", "/healthz")
         finally:
@@ -309,7 +368,7 @@ class TestAccessLog:
         assert healthz["method"] == "GET" and healthz["path"] == "/healthz"
         assert healthz["status"] == 200
 
-    def test_access_log_is_off_by_default(self, artifact, dataset):
+    def test_access_log_is_off_by_default(self, served, workers, dataset):
         records = []
 
         class Capture(logging.Handler):
@@ -322,7 +381,7 @@ class TestAccessLog:
         logger.addHandler(handler)
         logger.setLevel(logging.INFO)
         try:
-            with PredictionServer(artifact, port=0) as srv:
+            with PredictionServer(served, workers=workers, port=0) as srv:
                 _request(srv, "POST", "/predict", body=json.dumps(_good_row(dataset)))
         finally:
             logger.removeHandler(handler)
@@ -331,14 +390,15 @@ class TestAccessLog:
 
 
 class TestArtifactIdentity:
-    def test_healthz_carries_generation_and_sha(self, server):
+    def test_healthz_carries_generation_and_sha(self, server, workers):
         status, health = _request(server, "GET", "/healthz")
         assert status == 200
         assert health["artifact_generation"] == 1
-        # This module's artifact was built in memory (never load()ed), so
-        # its content hash is unknown — the field must still be present.
+        # The in-process server got the artifact built in memory (never
+        # load()ed), so its content hash is unknown — the field must still
+        # be present.  Forked workers map their saved copy.
         assert "artifact_sha" in health
-        assert health["mmapped"] is False
+        assert health["mmapped"] is (workers > 0)
 
     def test_generation_gauge_in_metrics(self, server):
         text = _scrape(server)
@@ -346,8 +406,10 @@ class TestArtifactIdentity:
 
 
 class TestUnavailableStates:
-    def test_predict_during_drain_returns_structured_503(self, artifact, dataset):
-        with PredictionServer(artifact, port=0) as srv:
+    def test_predict_during_drain_returns_structured_503(
+        self, served, workers, dataset
+    ):
+        with PredictionServer(served, workers=workers, port=0) as srv:
             srv._draining = True
             try:
                 status, payload = _request(
@@ -366,19 +428,10 @@ class TestUnavailableStates:
             assert status == 200
 
     def test_lazy_init_returns_503_until_engine_ready(
-        self, artifact, dataset, monkeypatch
+        self, served, workers, dataset, monkeypatch, tmp_path
     ):
-        import threading as _threading
-
-        release = _threading.Event()
-        original = PredictionServer._build_service
-
-        def slow_build(self, art):
-            release.wait(timeout=30)
-            return original(self, art)
-
-        monkeypatch.setattr(PredictionServer, "_build_service", slow_build)
-        srv = PredictionServer(artifact, port=0, lazy_init=True)
+        release = _hold_boots(monkeypatch, tmp_path)
+        srv = PredictionServer(served, workers=workers, port=0, lazy_init=True)
         srv.start()
         try:
             # Socket is up before the engine exists; /predict answers 503
@@ -391,18 +444,30 @@ class TestUnavailableStates:
             status, health = _request(srv, "GET", "/healthz")
             assert status == 200
             assert health["status"] == "initializing"
-            release.set()
+            assert health["artifact_generation"] == 0
+            release()
             assert srv.wait_ready(timeout=30)
             status, payload = _request(
                 srv, "POST", "/predict", body=json.dumps(_good_row(dataset))
             )
             assert status == 200
         finally:
-            release.set()
+            release()
             srv.shutdown()
 
-    def test_shutdown_flushes_in_flight_requests(self, artifact, dataset):
-        srv = PredictionServer(artifact, port=0, max_delay_ms=50.0)
+    def test_shutdown_flushes_in_flight_requests(
+        self, served, workers, dataset, monkeypatch
+    ):
+        # Slow scoring keeps requests in flight when shutdown starts (a
+        # forked worker inherits the patch).
+        original = worker_module.execute_predict
+
+        def slow_predict(engine, payload):
+            time.sleep(0.2)
+            return original(engine, payload)
+
+        monkeypatch.setattr(worker_module, "execute_predict", slow_predict)
+        srv = PredictionServer(served, workers=workers, port=0)
         srv.start()
         results = []
         lock = threading.Lock()
@@ -417,24 +482,61 @@ class TestUnavailableStates:
             with lock:
                 results.append((status, payload))
 
-        threads = [threading.Thread(target=one_predict) for _ in range(8)]
+        threads = [threading.Thread(target=one_predict) for _ in range(4)]
         for thread in threads:
             thread.start()
-        time.sleep(0.02)  # let requests reach the batcher's delay window
+        time.sleep(0.05)  # every request sent; the first one is scoring
         srv.shutdown()
         for thread in threads:
             thread.join(timeout=15)
         assert not any(thread.is_alive() for thread in threads)
         # Every request resolved: completed (200) or refused at the drain
-        # gate (503) — never a closed-batcher 500, never a hang.
-        assert results
+        # gate (503) — never a reset, never a hang.
+        assert len(results) == 4
         statuses = {status for status, _ in results}
-        assert statuses <= {200, 503}
+        assert statuses <= {200, 503}, results
         assert 200 in statuses  # the in-flight ones actually completed
 
 
+class TestConnectionSemantics:
+    def _exchange(self, server, dataset, version, connection=None):
+        """One raw-socket predict: ``(bytes received, closed by the server
+        within a second of answering)``."""
+        body = json.dumps(_good_row(dataset)).encode()
+        head = f"POST /predict {version}\r\nContent-Length: {len(body)}\r\n"
+        if connection:
+            head += f"Connection: {connection}\r\n"
+        with socket.create_connection(
+            (server.host, server.port), timeout=1.0
+        ) as sock:
+            sock.sendall(head.encode() + b"\r\n" + body)
+            data = b""
+            try:
+                while chunk := sock.recv(1 << 16):
+                    data += chunk
+            except socket.timeout:
+                return data, False
+            return data, True
+
+    def test_http10_request_gets_response_then_close(self, server, dataset):
+        data, closed = self._exchange(server, dataset, "HTTP/1.0")
+        assert data.split(b" ", 2)[1] == b"200"
+        assert b"Connection: close" in data
+        assert closed, "HTTP/1.0 without keep-alive must close after the reply"
+
+    def test_http10_keep_alive_and_http11_stay_open(self, server, dataset):
+        for version, connection, stays_open in (
+            ("HTTP/1.0", "keep-alive", True),
+            ("HTTP/1.1", None, True),
+            ("HTTP/1.1", "close", False),
+        ):
+            data, closed = self._exchange(server, dataset, version, connection)
+            assert data.split(b" ", 2)[1] == b"200"
+            assert closed is not stays_open, (version, connection)
+
+
 class TestHotReload:
-    def test_reload_under_load_swaps_without_dropping(self, tmp_path):
+    def test_reload_under_load_swaps_without_dropping(self, tmp_path, workers):
         from repro.datasets import make_correlated_instances
         from repro.pipeline import run_pipeline
         from repro.serving import InferenceEngine
@@ -445,7 +547,7 @@ class TestHotReload:
         path_b = run_pipeline(
             make_correlated_instances(n=120, seed=1)
         ).export_artifact().save(tmp_path / "b")
-        srv = PredictionServer(ModelArtifact.load(path_a), port=0)
+        srv = PredictionServer(str(path_a), workers=workers, port=0)
         srv.start()
         try:
             stop = threading.Event()
@@ -498,20 +600,42 @@ class TestHotReload:
         finally:
             srv.shutdown()
 
-    def test_concurrent_reload_conflicts_with_409(self, artifact):
-        with PredictionServer(artifact, port=0) as srv:
-            assert srv._reload_lock.acquire(blocking=False)
+    def test_concurrent_reload_conflicts_with_409(
+        self, served, workers, dataset, monkeypatch, tmp_path
+    ):
+        path = served if workers else str(
+            dataclasses.replace(served).save(tmp_path / "model")
+        )
+        with PredictionServer(served, workers=workers, port=0) as srv:
+            release = _hold_boots(monkeypatch, tmp_path)
+            first = []
+            thread = threading.Thread(target=lambda: first.append(_request(
+                srv, "POST", "/admin/reload",
+                body=json.dumps({"artifact": path}),
+            )))
+            thread.start()
             try:
+                deadline = time.monotonic() + 10
+                while srv._swap is None and time.monotonic() < deadline:
+                    time.sleep(0.01)
                 status, payload = _request(srv, "POST", "/admin/reload", body="{}")
+                assert status == 409
+                assert "in progress" in payload["error"]
+                # The held generation 1 keeps serving meanwhile.
+                status, _ = _request(
+                    srv, "POST", "/predict", body=json.dumps(_good_row(dataset))
+                )
+                assert status == 200
             finally:
-                srv._reload_lock.release()
-            assert status == 409
-            assert "in progress" in payload["error"]
+                release()
+                thread.join(timeout=30)
+            assert first[0][0] == 200
+            assert first[0][1]["artifact_generation"] == 2
 
     def test_reload_bad_path_returns_400_and_keeps_serving(
-        self, artifact, dataset
+        self, served, workers, dataset
     ):
-        with PredictionServer(artifact, port=0) as srv:
+        with PredictionServer(served, workers=workers, port=0) as srv:
             status, payload = _request(
                 srv, "POST", "/admin/reload",
                 body=json.dumps({"artifact": "/nonexistent.npz"}),
@@ -521,6 +645,27 @@ class TestHotReload:
                 srv, "POST", "/predict", body=json.dumps(_good_row(dataset))
             )
             assert status == 200
+
+    def test_failed_boot_keeps_the_old_generation_serving(
+        self, served, workers, dataset, tmp_path
+    ):
+        (tmp_path / "broken.npz").write_bytes(b"not an npz archive")
+        (tmp_path / "broken.json").write_text("{}")
+        with PredictionServer(served, workers=workers, port=0) as srv:
+            status, payload = _request(
+                srv, "POST", "/admin/reload",
+                body=json.dumps({"artifact": str(tmp_path / "broken.npz")}),
+            )
+            assert status == 500
+            assert "reload failed" in payload["error"]
+            assert payload["artifact_generation"] == 1
+            status, payload = _request(
+                srv, "POST", "/predict", body=json.dumps(_good_row(dataset))
+            )
+            assert status == 200
+            status, health = _request(srv, "GET", "/healthz")
+            assert health["status"] == "ok"
+            assert health["artifact_generation"] == 1
 
     def test_reload_without_source_returns_400(self, artifact):
         # This artifact was never load()ed from disk: no source_path.

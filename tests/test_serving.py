@@ -346,7 +346,7 @@ class TestPredictionServer:
     def test_boot_post_one_row_well_formed_json(self, instance_result):
         dataset, result = instance_result
         artifact = result.export_artifact()
-        with PredictionServer(artifact, port=0, max_delay_ms=1.0) as server:
+        with PredictionServer(artifact, port=0) as server:
             body = json.dumps({"numerical": dataset.numerical[0].tolist()}).encode()
             request = urllib.request.Request(server.url + "/predict", data=body)
             with urllib.request.urlopen(request, timeout=10) as response:
@@ -394,9 +394,8 @@ class TestPredictionServer:
             assert health["nprobe"] is None
 
     def test_shutdown_without_start_returns(self, feature_result):
-        # Regression: BaseServer.shutdown() blocks on an event only
-        # serve_forever sets; shutting down a constructed-but-never-started
-        # server must not hang (the constructor already binds the port).
+        # Regression: shutting down a constructed-but-never-started server
+        # must not hang (the constructor already binds the port).
         _, result = feature_result
         server = PredictionServer(result.export_artifact(), port=0)
         done = threading.Event()

@@ -2,10 +2,11 @@
 
 Covers each layer in isolation — the frame protocol, the memory-mapped
 ``.npz`` loader, cross-process metrics merging — and then the integrated
-deployment: a real :class:`~repro.serving.scaleout.ScaleOutServer` with
-forked workers behind a live socket, exercised for wire parity with the
-single-process oracle, fleet health/metrics aggregation, worker-death
-resilience, and the zero-downtime hot swap under concurrent load.
+deployment: a real :class:`~repro.serving.PredictionServer` behind a live
+socket, scoring in process (``workers=0``) or in forked workers, exercised
+for wire parity with the engine oracle, health/metrics aggregation,
+worker-death resilience, and the zero-downtime hot swap under concurrent
+load.
 """
 
 import http.client
@@ -22,7 +23,6 @@ from repro.obs import MetricsRegistry, merge_snapshots, render_snapshot_promethe
 from repro.pipeline import run_pipeline
 from repro.serving import InferenceEngine, ModelArtifact, PredictionServer
 from repro.serving.npz_mmap import load_npz_mmap
-from repro.serving.scaleout import ScaleOutServer
 from repro.serving.scaleout.protocol import (
     FrameDecoder,
     ProtocolError,
@@ -230,21 +230,54 @@ class TestArtifactMmapLoad:
             path, probe_rows, mmap_mode="r"
         )
 
+    def test_resave_keeps_live_mmap_engine_bit_identical(self, tmp_path):
+        # Two hypergraph artifacts whose payload arrays have the same
+        # shapes but different contents: an in-place overwrite would
+        # change what a live memory map reads.
+        from repro.datasets import make_fraud
+
+        dataset = make_fraud(n=120, seed=0)
+        first, second = (
+            run_pipeline(
+                make_fraud(n=120, seed=seed), formulation="hypergraph",
+                max_epochs=3, seed=0,
+            ).export_artifact()
+            for seed in (0, 1)
+        )
+        path = first.save(tmp_path / "model")
+        live = InferenceEngine(
+            ModelArtifact.load(path, mmap_mode="r"), cache_size=0
+        )
+        rows = (dataset.numerical[:16], dataset.categorical[:16])
+        before = live.predict_batch(*rows)
+        second.save(tmp_path / "model")
+        np.testing.assert_array_equal(live.predict_batch(*rows), before)
+        assert live.artifact.content_sha == first.content_sha
+        assert ModelArtifact.load(path).content_sha == second.content_sha
+        assert sorted(p.name for p in tmp_path.iterdir()) == [
+            "model.json", "model.npz",
+        ]
+
     def test_bad_mmap_mode_rejected(self, artifact_paths):
         with pytest.raises(ValueError):
             ModelArtifact.load(artifact_paths[0], mmap_mode="r+")
 
 
-@pytest.fixture()
-def scaleout(artifact_paths):
-    server = ScaleOutServer(
-        str(artifact_paths[0]), workers=2, port=0, boot_timeout=120.0
+@pytest.fixture(params=[0, 1, 2], ids=["workers0", "workers1", "workers2"])
+def scaleout(request, artifact_paths):
+    server = PredictionServer(
+        str(artifact_paths[0]), workers=request.param, port=0,
+        boot_timeout=120.0,
     )
     server.start()
     try:
         yield server
     finally:
         server.shutdown()
+
+
+def _workers(server):
+    return server.artifact_summary()["workers"]
 
 
 class TestScaleOutE2E:
@@ -282,6 +315,7 @@ class TestScaleOutE2E:
         assert status == 404
 
     def test_healthz_reports_fleet(self, scaleout, artifact_paths):
+        workers = _workers(scaleout)
         expected_sha = ModelArtifact.load(artifact_paths[0]).content_sha
         # Prime some traffic so engine counters are non-zero.
         _http(scaleout, "POST", "/predict",
@@ -290,54 +324,68 @@ class TestScaleOutE2E:
         assert status == 200
         health = json.loads(body)
         assert health["status"] == "ok"
-        assert health["workers"] == 2
+        assert health["workers"] == workers
         assert health["artifact_generation"] == 1
         assert health["artifact_sha"] == expected_sha
-        assert health["mmapped"] is True
+        # Forked workers map the file; the in-process engine reads it.
+        assert health["mmapped"] is (workers > 0)
         assert health["formulation"] == "instance"
         assert health["engine"]["rows"] >= 1
-        assert len(health["workers_detail"]) == 2
+        assert len(health["workers_detail"]) == workers
         pids = {w["pid"] for w in health["workers_detail"]}
-        assert len(pids) == 2  # really two processes
+        assert len(pids) == workers  # really separate processes
 
     def test_metrics_merges_worker_registries(self, scaleout):
+        workers = _workers(scaleout)
         _http(scaleout, "POST", "/predict",
               json.dumps({"numerical": [0.2] * 16}).encode())
         status, body = _http(scaleout, "GET", "/metrics")
         assert status == 200
         text = body.decode()
-        # Front-door HTTP metrics and merged worker metrics in one scrape.
+        # HTTP metrics and engine metrics in one scrape.
         assert "repro_http_requests_total" in text
-        assert "repro_frontdoor_workers 2" in text
-        assert 'worker="' in text
         assert "repro_engine_artifact_generation" in text
         assert "repro_worker_requests_total" in text
+        if workers:
+            assert f"repro_frontdoor_workers {workers}" in text
+            assert 'worker="' in text
+        else:
+            # One registry: engine gauges keep their own labels.
+            assert "repro_engine_artifact_generation 1" in text
+            assert 'repro_engine_unk_rate{formulation="instance"}' in text
+            assert 'worker="' not in text
 
-    def test_worker_death_degrades_without_dropping_service(self, scaleout):
-        victim = scaleout._workers[0]
-        victim.proc.terminate()
-        victim.proc.join(timeout=10)
-        deadline = 50
-        while deadline:
-            status, body = _http(scaleout, "GET", "/healthz")
-            if json.loads(body)["workers"] == 1:
-                break
-            deadline -= 1
-            threading.Event().wait(0.1)
-        assert json.loads(body)["workers"] == 1
-        status, body = _http(
-            scaleout, "POST", "/predict",
-            json.dumps({"numerical": [0.3] * 16}).encode(),
-        )
-        assert status == 200
+    def test_worker_death_degrades_without_dropping_service(
+        self, artifact_paths
+    ):
+        with PredictionServer(
+            str(artifact_paths[0]), workers=2, port=0
+        ) as scaleout:
+            victim = scaleout._workers[0]
+            victim.proc.terminate()
+            victim.proc.join(timeout=10)
+            deadline = 50
+            while deadline:
+                status, body = _http(scaleout, "GET", "/healthz")
+                if json.loads(body)["workers"] == 1:
+                    break
+                deadline -= 1
+                threading.Event().wait(0.1)
+            assert json.loads(body)["workers"] == 1
+            status, body = _http(
+                scaleout, "POST", "/predict",
+                json.dumps({"numerical": [0.3] * 16}).encode(),
+            )
+            assert status == 200
 
 
 class TestHotSwapUnderLoad:
+    @pytest.mark.parametrize("workers", [0, 1, 2])
     def test_no_request_lost_and_new_artifact_serves(
-        self, artifact_paths, probe_rows
+        self, artifact_paths, probe_rows, workers
     ):
         old_path, new_path = artifact_paths
-        server = ScaleOutServer(str(old_path), workers=2, port=0)
+        server = PredictionServer(str(old_path), workers=workers, port=0)
         server.start()
         try:
             stop = threading.Event()
@@ -382,16 +430,16 @@ class TestHotSwapUnderLoad:
             for _status, payload in results:
                 assert json.loads(payload)["rows"] == 1
 
-            # The fleet now serves the new artifact: generation and sha
-            # bumped, predictions match the new artifact's oracle exactly
-            # (same 6-decimal rounding ⇒ parity well under 1e-8).
+            # The deployment now serves the new artifact: generation and
+            # sha bumped, predictions match the new artifact's oracle
+            # exactly (same 6-decimal rounding ⇒ parity well under 1e-8).
             status, body = _http(server, "GET", "/healthz")
             health = json.loads(body)
             assert health["artifact_generation"] == 2
             assert health["artifact_sha"] == ModelArtifact.load(
                 new_path
             ).content_sha
-            assert health["workers"] == 2
+            assert health["workers"] == workers
             oracle = _oracle_probs(new_path, probe_rows)
             for row, expected in zip(probe_rows, oracle):
                 status, body = _http(
@@ -403,8 +451,13 @@ class TestHotSwapUnderLoad:
         finally:
             server.shutdown()
 
-    def test_reload_missing_artifact_keeps_old_fleet(self, artifact_paths):
-        server = ScaleOutServer(str(artifact_paths[0]), workers=1, port=0)
+    @pytest.mark.parametrize("workers", [0, 1])
+    def test_reload_missing_artifact_keeps_old_fleet(
+        self, artifact_paths, workers
+    ):
+        server = PredictionServer(
+            str(artifact_paths[0]), workers=workers, port=0
+        )
         server.start()
         try:
             status, body = _http(
