@@ -96,12 +96,12 @@ class GATConv(nn.Module):
         h = ops.matmul(x, self.weight).reshape(num_nodes, self.num_heads, self.out_features)
         h_flat = h.reshape(num_nodes, self.num_heads * self.out_features)
         h_src = ops.gather_rows(h_flat, src).reshape(len(src), self.num_heads, self.out_features)
-        h_dst = ops.gather_rows(h_flat, dst).reshape(len(dst), self.num_heads, self.out_features)
 
-        # Attention logits per edge and head.
-        score_src = ops.sum(ops.mul(h_src, self.att_src), axis=-1)  # (E, heads)
-        score_dst = ops.sum(ops.mul(h_dst, self.att_dst), axis=-1)
-        scores = ops.add(score_src, score_dst)
+        # Attention logits per edge and head, from per-node source and
+        # destination scores gathered to the edges.
+        node_src = ops.sum(ops.mul(h, self.att_src), axis=-1)  # (n, heads)
+        node_dst = ops.sum(ops.mul(h, self.att_dst), axis=-1)
+        scores = ops.add(ops.gather_rows(node_src, src), ops.gather_rows(node_dst, dst))
         if self.edge_proj is not None:
             if edge_features is None:
                 raise ValueError("layer was built with edge_dim but no edge features given")

@@ -250,6 +250,44 @@ class TestGatherScatter:
         ops.sum(ops.mul(out, Tensor(g))).backward()
         np.testing.assert_allclose(x.grad, g[seg])
 
+    @pytest.mark.parametrize("bad_id", [3, 7, -4])
+    def test_segment_sum_rejects_out_of_range_id(self, bad_id):
+        x = Tensor(np.ones((3, 2)))
+        with pytest.raises(IndexError):
+            ops.segment_sum(x, np.array([0, bad_id, 1]), 3)
+
+    def test_segment_sum_wraps_negative_id(self):
+        values = RNG.normal(size=(3, 2))
+        seg = np.array([-1, 0, -3])
+        expected = np.zeros((3, 2))
+        np.add.at(expected, seg, values)
+        out = ops.segment_sum(Tensor(values), seg, 3)
+        np.testing.assert_array_equal(out.data, expected)
+        np.testing.assert_array_equal(out.data[2], values[0])
+
+    @pytest.mark.parametrize("bad_id", [4, -5])
+    def test_gather_rows_rejects_out_of_range_id(self, bad_id):
+        x = Tensor(RNG.normal(size=(4, 2)), requires_grad=True)
+        with pytest.raises(IndexError):
+            ops.sum(ops.gather_rows(x, np.array([0, bad_id]))).backward()
+
+    @pytest.mark.parametrize("bad_id", [4, -5])
+    def test_scatter_behind_gather_backward_checks_ids(self, bad_id):
+        # The incidence product does no bounds checking of its own: an id
+        # past the end must raise before the product, never reach it.
+        with pytest.raises(IndexError):
+            ops._scatter_rows(np.array([0, bad_id]), np.ones((2, 3)), 4)
+
+    def test_gather_rows_backward_wraps_negative_id(self):
+        x = Tensor(RNG.normal(size=(4, 2)), requires_grad=True)
+        idx = np.array([-1, 0, -1])
+        g = RNG.normal(size=(3, 2))
+        ops.gather_rows(x, idx).backward(g)
+        expected = np.zeros((4, 2))
+        np.add.at(expected, idx, g)
+        np.testing.assert_array_equal(x.grad, expected)
+        np.testing.assert_array_equal(x.grad[3], g[0] + g[2])
+
     def test_segment_mean_handles_empty_segment(self):
         x = Tensor(np.ones((2, 3)))
         out = ops.segment_mean(x, np.array([0, 0]), 2)

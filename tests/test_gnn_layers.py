@@ -136,6 +136,74 @@ class TestGATConv:
         out = conv(Tensor(x), edges)
         assert np.all(np.isfinite(out.data))
 
+    @pytest.mark.parametrize("concat_heads", [True, False])
+    def test_gradients_match_finite_differences(self, concat_heads):
+        local = np.random.default_rng(3)
+        g = Graph(5, np.array([[0, 1, 2, 3], [1, 2, 3, 4]])).symmetrize()
+        conv = GATConv(3, 2, rng(), num_heads=2, concat_heads=concat_heads, edge_dim=1)
+        conv.bias.data[:] = local.normal(size=conv.bias.shape)
+        x = Tensor(local.normal(size=(5, 3)), requires_grad=True)
+        edge_feat = Tensor(local.normal(size=(g.num_edges, 1)))
+        probe = Tensor(local.normal(size=(5, conv.output_dim)))
+
+        def loss():
+            return ops.sum(ops.mul(conv(x, g.edge_index, edge_feat), probe))
+
+        loss().backward()
+        targets = [("x", x), ("weight", conv.weight), ("att_src", conv.att_src),
+                   ("att_dst", conv.att_dst), ("bias", conv.bias),
+                   ("edge_proj.weight", conv.edge_proj.weight)]
+        eps = 1e-6
+        for name, tensor in targets:
+            numeric = np.zeros_like(tensor.data)
+            flat, numeric_flat = tensor.data.reshape(-1), numeric.reshape(-1)
+            for i in range(flat.size):
+                orig = flat[i]
+                flat[i] = orig + eps
+                up = loss().item()
+                flat[i] = orig - eps
+                down = loss().item()
+                flat[i] = orig
+                numeric_flat[i] = (up - down) / (2 * eps)
+            np.testing.assert_allclose(tensor.grad, numeric, rtol=1e-5, atol=1e-6,
+                                       err_msg=name)
+
+    @pytest.mark.parametrize("concat_heads", [True, False])
+    def test_forward_equals_per_edge_logits_bit_for_bit(self, concat_heads):
+        local = np.random.default_rng(4)
+        g = Graph(6, local.integers(0, 6, size=(2, 14)))
+        heads, width = 3, 4
+        conv = GATConv(3, width, rng(), num_heads=heads, concat_heads=concat_heads,
+                       edge_dim=1)
+        x = local.normal(size=(6, 3))
+        edge_feat = local.normal(size=(g.num_edges, 1))
+        out = conv(Tensor(x), g.edge_index, Tensor(edge_feat)).data
+
+        # Per-edge formula: gather h to both endpoints of every edge, score
+        # each edge from the (E, heads, out) products, then normalize and
+        # scatter with np.add.at.
+        src = np.concatenate([g.edge_index[0], np.arange(6)])
+        dst = np.concatenate([g.edge_index[1], np.arange(6)])
+        h = (x @ conv.weight.data).reshape(6, heads, width)
+        scores = ((h[src] * conv.att_src.data).sum(axis=-1)
+                  + (h[dst] * conv.att_dst.data).sum(axis=-1))
+        loop_feat = np.concatenate([edge_feat, np.zeros((6, 1))])
+        scores = scores + conv.edge_proj(Tensor(loop_feat)).data
+        scores = np.where(scores > 0.0, scores, conv.negative_slope * scores)
+        maxes = np.full((6, heads), -np.inf)
+        np.maximum.at(maxes, dst, scores)
+        exps = np.exp(scores - maxes[dst])
+        denom = np.zeros((6, heads))
+        np.add.at(denom, dst, exps)
+        alpha = exps / denom[dst]
+        aggregated = np.zeros((6, heads, width))
+        np.add.at(aggregated, dst, h[src] * alpha[:, :, None])
+        if concat_heads:
+            expected = aggregated.reshape(6, heads * width) + conv.bias.data
+        else:
+            expected = aggregated.mean(axis=1) + conv.bias.data
+        assert np.array_equal(out, expected)
+
 
 class TestDenseConvs:
     def test_dense_matches_sparse_gcn(self):

@@ -1,7 +1,7 @@
 """Hypothesis property-based tests on core data structures and invariants."""
 
 import numpy as np
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
@@ -70,6 +70,41 @@ def test_segment_sum_conserves_mass(x, extra_segments):
     seg = rng.integers(0, n + extra_segments, size=n)
     out = ops.segment_sum(Tensor(x), seg, n + extra_segments).data
     np.testing.assert_allclose(out.sum(axis=0), x.sum(axis=0), atol=1e-8)
+
+
+@st.composite
+def scatter_cases(draw):
+    """(ids, values, num_rows): duplicate, negative and absent ids, 1-3-D
+    values, and zero edges."""
+    num_rows = draw(st.integers(1, 6))
+    num_edges = draw(st.integers(0, 16))
+    row_shape = draw(st.sampled_from([(), (3,), (2, 3)]))
+    ids = draw(arrays(np.int64, num_edges,
+                      elements=st.integers(-num_rows, num_rows - 1)))
+    values = draw(arrays(np.float64, (num_edges,) + row_shape, elements=finite))
+    return ids, values, num_rows
+
+
+@settings(max_examples=60, deadline=None)
+@given(scatter_cases())
+@example((np.zeros(0, np.int64), np.zeros(0), 3))
+@example((np.zeros(0, np.int64), np.zeros((0, 4)), 3))
+@example((np.zeros(0, np.int64), np.zeros((0, 2, 3)), 3))
+def test_scatters_equal_ufunc_at_reference(case):
+    # The sparse scatter adds in edge order, so equality is exact.
+    ids, values, num_rows = case
+    reference = np.zeros((num_rows,) + values.shape[1:])
+    np.add.at(reference, ids, values)
+    out = ops.segment_sum(Tensor(values), ids, num_rows).data
+    assert out.shape == reference.shape and np.array_equal(out, reference)
+
+    table = Tensor(np.zeros((num_rows,) + values.shape[1:]), requires_grad=True)
+    ops.gather_rows(table, ids).backward(values)
+    assert np.array_equal(table.grad, reference)
+
+    reference_max = np.full((num_rows,) + values.shape[1:], -np.inf)
+    np.maximum.at(reference_max, ids, values)
+    assert np.array_equal(ops.segment_max(values, ids, num_rows), reference_max)
 
 
 @settings(max_examples=30, deadline=None)
