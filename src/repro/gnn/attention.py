@@ -11,6 +11,12 @@ consumes an :class:`~repro.graph.homogeneous.EdgeView` (flavor
 time, so frozen-graph training loops stop rebuilding the self-loop block
 every call).  ``forward(x, edge_index)`` is the compat path that derives a
 one-shot view from a raw edge index.
+
+Aggregation is one per-head sparse product
+(:func:`~repro.tensor.ops.edge_weighted_sum`): the attention weights fill a
+CSR matrix whose sorted structure is memoized on the view
+(:meth:`~repro.graph.homogeneous.EdgeView.head_edges`), so no
+``(E, heads, out)`` message tensor is built in the forward or the backward.
 """
 
 from __future__ import annotations
@@ -94,8 +100,6 @@ class GATConv(nn.Module):
         src, dst = view.src, view.dst
 
         h = ops.matmul(x, self.weight).reshape(num_nodes, self.num_heads, self.out_features)
-        h_flat = h.reshape(num_nodes, self.num_heads * self.out_features)
-        h_src = ops.gather_rows(h_flat, src).reshape(len(src), self.num_heads, self.out_features)
 
         # Attention logits per edge and head, from per-node source and
         # destination scores gathered to the edges.
@@ -109,8 +113,9 @@ class GATConv(nn.Module):
         scores = ops.leaky_relu(scores, self.negative_slope)
 
         alpha = ops.segment_softmax(scores, dst, view.num_nodes)  # (E, heads)
-        weighted = ops.mul(h_src, alpha.reshape(len(src), self.num_heads, 1))
-        aggregated = ops.segment_sum(weighted, dst, view.num_nodes)  # (n, heads, out)
+        aggregated = ops.edge_weighted_sum(  # (n, heads, out)
+            h, alpha, view.head_edges(num_nodes, self.num_heads)
+        )
 
         if self.concat_heads:
             out = aggregated.reshape(view.num_nodes, self.num_heads * self.out_features)

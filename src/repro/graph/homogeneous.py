@@ -32,8 +32,9 @@ class EdgeView:
     ``src``, scale by :attr:`weight`, segment-sum into ``dst`` buckets —
     with a memoized sparse-operator fast path when the view was derived
     from a whole :class:`Graph`.  Attention layers read :attr:`src` /
-    :attr:`dst` directly and normalize with ``segment_softmax`` over
-    :attr:`num_nodes` destination buckets.
+    :attr:`dst` directly, normalize with ``segment_softmax`` over
+    :attr:`num_nodes` destination buckets, and aggregate through the
+    per-head sparse structure :meth:`head_edges` memoizes on the view.
 
     Views come from two places, both cheap to reuse:
 
@@ -46,7 +47,7 @@ class EdgeView:
       in O(B·k).
     """
 
-    __slots__ = ("src", "dst", "num_nodes", "weight", "_matrix")
+    __slots__ = ("src", "dst", "num_nodes", "weight", "_matrix", "_head_edges")
 
     def __init__(
         self,
@@ -65,10 +66,21 @@ class EdgeView:
         if self.weight is not None and self.weight.shape != self.src.shape:
             raise ValueError("weight length must equal number of edges")
         self._matrix = matrix
+        self._head_edges: Dict[Tuple[int, int], ops.HeadEdges] = {}
 
     @property
     def num_edges(self) -> int:
         return int(self.src.shape[0])
+
+    def head_edges(self, num_src: int, heads: int) -> ops.HeadEdges:
+        """Memoized :class:`~repro.tensor.ops.HeadEdges` of this view for
+        ``num_src`` source rows and ``heads`` heads (attention layers)."""
+        key = (int(num_src), int(heads))
+        if key not in self._head_edges:
+            self._head_edges[key] = ops.HeadEdges(
+                self.src, self.dst, num_src, self.num_nodes, heads
+            )
+        return self._head_edges[key]
 
     @classmethod
     def from_edge_index(

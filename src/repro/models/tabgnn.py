@@ -8,13 +8,20 @@ Per relation, a GCN encodes the instances; relation embeddings are fused by
 a learned attention over relations (``fusion="attention"``) or a plain mean
 (``fusion="mean"`` — the ablation arm of benchmark Table 6), concatenated
 with the raw-feature projection, and classified by an MLP head.
+
+The raw features are held as a CSR matrix (the one-hot categorical block
+makes them mostly zeros), so every first-layer projection — one per
+relation plus the raw-feature projection — is a sparse product
+(:func:`~repro.tensor.ops.spmm`), in training and in the serving pool cache
+(:meth:`TabGNN.pool_message_states`) alike.
 """
 
 from __future__ import annotations
 
-from typing import Optional
+from typing import Optional, Union
 
 import numpy as np
+import scipy.sparse as sp
 
 from repro import nn
 from repro.gnn.conv import GCNConv
@@ -46,7 +53,7 @@ class TabGNN(nn.Module):
             raise ValueError("multiplex graph has no relation layers")
         self.graph = graph
         self.fusion = fusion
-        self.x = Tensor(graph.x)
+        self.x = sp.csr_matrix(graph.x)
         in_dim = graph.x.shape[1]
 
         self._adjacencies = [layer.gcn_adjacency() for layer in graph.layers()]
@@ -83,7 +90,7 @@ class TabGNN(nn.Module):
         ]
         return ops.softmax(ops.concat(scores, axis=1), axis=1)
 
-    def _fuse(self, embeddings: list[Tensor], x: Tensor) -> Tensor:
+    def _fuse(self, embeddings: list[Tensor], x: Union[Tensor, sp.spmatrix]) -> Tensor:
         """Fusion + raw-feature projection shared by ``embed`` and the
         serving-time query path: attention (or mean) over relation
         embeddings, concatenated with the projected raw features."""

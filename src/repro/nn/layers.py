@@ -6,9 +6,10 @@ initialization so results are reproducible from a single seed.
 
 from __future__ import annotations
 
-from typing import Callable, Optional, Sequence
+from typing import Callable, Optional, Sequence, Union
 
 import numpy as np
+import scipy.sparse as sp
 
 from repro.nn.module import Module, Parameter
 from repro.tensor import init, ops
@@ -51,7 +52,11 @@ class Activation(Module):
 
 
 class Linear(Module):
-    """Affine map ``y = x @ W + b`` with Glorot-uniform initialization."""
+    """Affine map ``y = x @ W + b`` with Glorot-uniform initialization.
+
+    ``x`` is a :class:`Tensor` or a constant ``scipy.sparse`` matrix (such
+    as a one-hot input), whose product runs through :func:`ops.spmm`.
+    """
 
     def __init__(
         self,
@@ -66,8 +71,11 @@ class Linear(Module):
         self.weight = Parameter(init.glorot_uniform((in_features, out_features), rng))
         self.bias = Parameter(np.zeros(out_features)) if bias else None
 
-    def forward(self, x: Tensor) -> Tensor:
-        out = ops.matmul(x, self.weight)
+    def forward(self, x: Union[Tensor, sp.spmatrix]) -> Tensor:
+        if sp.issparse(x):
+            out = ops.spmm(x, self.weight)
+        else:
+            out = ops.matmul(x, self.weight)
         if self.bias is not None:
             out = ops.add(out, self.bias)
         return out

@@ -36,7 +36,7 @@ from repro.datasets.tabular import TabularDataset
 from repro.formulations import FittedFormulation
 from repro.metrics import accuracy, macro_f1
 from repro.obs import MetricsRegistry
-from repro.tensor import Tensor, ops
+from repro.tensor import Tensor, no_grad, ops
 from repro.training.tasks import DenoisingAutoencoderTask
 from repro.training.trainer import Trainer
 
@@ -243,7 +243,8 @@ def run_pipeline(
     timings["training"] = time.perf_counter() - start
 
     start = time.perf_counter()
-    pred = forward().data.argmax(axis=1)
+    with no_grad():
+        pred = forward().data.argmax(axis=1)
     timings["inference"] = time.perf_counter() - start
 
     if registry is not None:

@@ -18,30 +18,40 @@ Design notes
 from __future__ import annotations
 
 import contextlib
+import threading
 from typing import Callable, Iterable, Optional, Sequence, Union
 
 import numpy as np
 
 ArrayLike = Union[np.ndarray, float, int, Sequence]
 
-_GRAD_ENABLED = True
+
+class _GradMode(threading.local):
+    """Per-thread recording flag: one thread's ``no_grad`` never turns
+    recording off (or back on) in another."""
+
+    enabled = True
+
+
+_GRAD_MODE = _GradMode()
 
 
 def is_grad_enabled() -> bool:
-    """Return whether operations are currently being recorded for autodiff."""
-    return _GRAD_ENABLED
+    """Return whether operations are currently being recorded for autodiff
+    in the calling thread."""
+    return _GRAD_MODE.enabled
 
 
 @contextlib.contextmanager
 def no_grad():
-    """Context manager that disables gradient recording (like torch.no_grad)."""
-    global _GRAD_ENABLED
-    previous = _GRAD_ENABLED
-    _GRAD_ENABLED = False
+    """Context manager that disables gradient recording in the calling
+    thread (like torch.no_grad)."""
+    previous = _GRAD_MODE.enabled
+    _GRAD_MODE.enabled = False
     try:
         yield
     finally:
-        _GRAD_ENABLED = previous
+        _GRAD_MODE.enabled = previous
 
 
 def unbroadcast(grad: np.ndarray, shape: tuple) -> np.ndarray:

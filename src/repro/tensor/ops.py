@@ -21,6 +21,20 @@ id ``>= n`` or ``< -n`` raises ``IndexError``.  They are checked before the
 product, because the sparse kernel does no bounds checking of its own.
 :func:`segment_max` keeps the same contract through one 1-D
 ``np.maximum.at`` over flattened ``id * width + column`` indices.
+
+Attention aggregates through :func:`edge_weighted_sum`, the per-head edge
+sum ``out[d, k] = Σ_{e: dst_e = d} w[e, k] · h[src_e, k]``.  It is one
+``scipy.sparse`` CSR product over ``node·heads + head`` rows whose
+nonzeros are the edge weights; each row lists its edges in edge order (a
+stable sort), so the sum adds in edge order as :func:`_scatter_rows` does.
+The ``h`` gradient is the same product with the edges grouped by source,
+and the weight gradient reduces each ``(edge, head)`` row on its own over
+fixed blocks of edges.  Forward and both gradients are therefore
+bit-identical to ``segment_sum(mul(gather_rows(h, src), w[..., None]),
+dst)``, without its ``(E, heads, width)`` messages.  The sorted structure
+(:class:`HeadEdges`) depends only on the edges and the head count, so
+callers with a frozen edge set build it once; its ids follow the same
+contract, checked when it is built.
 """
 
 from __future__ import annotations
@@ -191,8 +205,9 @@ def spmm(matrix: sp.spmatrix, x: Tensor) -> Tensor:
     """Sparse @ dense product where the sparse matrix is a constant.
 
     Used for fixed-structure graph aggregation: ``matrix`` is typically a
-    (normalized) adjacency and ``x`` the node-feature tensor.  The gradient
-    is ``matrix.T @ grad``.
+    (normalized) adjacency and ``x`` the node-feature tensor.  It also
+    projects a constant sparse input (``nn.Linear`` on a one-hot block),
+    with ``x`` the weight.  The gradient is ``matrix.T @ grad``.
     """
     matrix = matrix.tocsr()
     out = Tensor(matrix @ x.data)
@@ -465,6 +480,21 @@ def getitem(a: Tensor, key) -> Tensor:
 # ----------------------------------------------------------------------
 # gather / scatter (message passing primitives)
 # ----------------------------------------------------------------------
+def _checked_ids(index: np.ndarray, size: int) -> np.ndarray:
+    """``index`` under numpy's contract for an axis of length ``size``: ids
+    in ``-size … -1`` wrap, ids ``>= size`` or ``< -size`` raise."""
+    if index.size:
+        low, high = index.min(), index.max()
+        if high >= size or low < -size:
+            bad = high if high >= size else low
+            raise IndexError(
+                f"index {bad} is out of bounds for axis 0 with size {size}"
+            )
+        if low < 0:
+            index = index % size
+    return index
+
+
 def _scatter_rows(index: np.ndarray, values: np.ndarray, num_rows: int) -> np.ndarray:
     """``out[index[i]] += values[i]`` into ``num_rows`` zero rows.
 
@@ -472,17 +502,8 @@ def _scatter_rows(index: np.ndarray, values: np.ndarray, num_rows: int) -> np.nd
     product accumulates every output row in edge order.
     """
     row_shape = values.shape[index.ndim:]
-    index = index.reshape(-1)
+    index = _checked_ids(index.reshape(-1), num_rows)
     num_edges = index.shape[0]
-    if num_edges:
-        low, high = index.min(), index.max()
-        if high >= num_rows or low < -num_rows:
-            bad = high if high >= num_rows else low
-            raise IndexError(
-                f"index {bad} is out of bounds for axis 0 with size {num_rows}"
-            )
-        if low < 0:
-            index = index % num_rows
     incidence = sp.csc_matrix(
         (np.ones(num_edges), index, np.arange(num_edges + 1)),
         shape=(num_rows, num_edges),
@@ -519,6 +540,91 @@ def segment_sum(a: Tensor, segment_ids: np.ndarray, num_segments: int) -> Tensor
             a._accumulate(grad[segment_ids])
 
     out._set_history((a,), backward)
+    return out
+
+
+#: Edges per block of the :func:`edge_weighted_sum` weight gradient, which
+#: bounds its ``(block, heads, width)`` temporary.
+_WEIGHT_GRAD_BLOCK = 256
+
+
+def _head_skeleton(rows, cols, num_rows: int, num_cols: int, heads: int):
+    """CSR structure over ``row·heads + head`` rows: row ``r·heads + k``
+    lists the edges with ``rows[e] == r`` in edge order, at columns
+    ``cols[e]·heads + k``.
+
+    Returns ``(order, template)``: per-edge, per-head weights ``w`` fill it
+    as data ``w.reshape(-1)[order]`` over ``template``'s indices.
+    """
+    key = (rows[:, None] * heads + np.arange(heads)).reshape(-1)
+    order = np.argsort(key, kind="stable")
+    edge, head = np.divmod(order, heads)
+    indptr = np.zeros(num_rows * heads + 1, dtype=np.int64)
+    np.cumsum(np.bincount(key, minlength=num_rows * heads), out=indptr[1:])
+    template = sp.csr_matrix(
+        (np.zeros(order.size), cols[edge] * heads + head, indptr),
+        shape=(num_rows * heads, num_cols * heads),
+    )
+    return order, template
+
+
+def _weighted(skeleton, weight: np.ndarray) -> sp.csr_matrix:
+    order, template = skeleton
+    return sp.csr_matrix(
+        (weight.reshape(-1)[order], template.indices, template.indptr),
+        shape=template.shape,
+    )
+
+
+class HeadEdges:
+    """Fixed edges ``src → dst`` laid out for :func:`edge_weighted_sum`.
+
+    Holds the CSR structure twice: edges grouped by destination (the
+    forward) and by source (the ``h`` gradient).  Building it sorts the
+    edges, so a caller with a frozen edge set builds it once
+    (:meth:`repro.graph.homogeneous.EdgeView.head_edges`); each call then
+    only permutes its weights into the data.
+    """
+
+    __slots__ = ("src", "dst", "by_dst", "by_src")
+
+    def __init__(
+        self, src: np.ndarray, dst: np.ndarray, num_src: int, num_dst: int, heads: int
+    ) -> None:
+        self.src = _checked_ids(np.asarray(src, dtype=np.int64), num_src)
+        self.dst = _checked_ids(np.asarray(dst, dtype=np.int64), num_dst)
+        self.by_dst = _head_skeleton(self.dst, self.src, num_dst, num_src, heads)
+        self.by_src = _head_skeleton(self.src, self.dst, num_src, num_dst, heads)
+
+
+def edge_weighted_sum(h: Tensor, weight: Tensor, edges: HeadEdges) -> Tensor:
+    """Per-head weighted edge sum ``out[d, k] = Σ_{e: dst_e = d} weight[e, k] · h[src_e, k]``.
+
+    ``h`` is ``(n_src, heads, width)``, ``weight`` is ``(E, heads)`` and the
+    output is ``(num_dst, heads, width)``.  Forward and both gradients are
+    bit-identical to ``segment_sum(mul(gather_rows(h, src), weight[..., None]),
+    dst)`` without materializing its ``(E, heads, width)`` messages.
+    """
+    _, heads, width = h.shape
+    out_data = _weighted(edges.by_dst, weight.data) @ h.data.reshape(-1, width)
+    out = Tensor(out_data.reshape(-1, heads, width))
+
+    def backward(grad: np.ndarray) -> None:
+        if h.requires_grad:
+            by_src = _weighted(edges.by_src, weight.data)
+            h._accumulate((by_src @ grad.reshape(-1, width)).reshape(h.shape))
+        if weight.requires_grad:
+            # Each (edge, head) row reduces on its own, so blocking the
+            # edges leaves every sum unchanged.
+            grad_w = np.empty(weight.shape)
+            for start in range(0, edges.src.shape[0], _WEIGHT_GRAD_BLOCK):
+                block = slice(start, start + _WEIGHT_GRAD_BLOCK)
+                grad_w[block] = (
+                    grad[edges.dst[block]] * h.data[edges.src[block]]
+                ).sum(axis=-1)
+            weight._accumulate(grad_w)
+
+    out._set_history((h, weight), backward)
     return out
 
 

@@ -22,7 +22,7 @@ import numpy as np
 
 from repro import nn
 from repro.obs import MetricsRegistry
-from repro.tensor import Tensor
+from repro.tensor import Tensor, no_grad
 
 
 @dataclasses.dataclass
@@ -90,8 +90,8 @@ class Trainer:
         """Run the optimization loop.
 
         ``val_score_fn`` returns a *higher-is-better* score computed in eval
-        mode; when omitted, the negative training loss is used so early
-        stopping still has a signal.
+        mode with gradient recording off (``no_grad``); when omitted, the
+        negative training loss is used so early stopping still has a signal.
         """
         history: Dict[str, List[float]] = {"loss": [], "val_score": []}
         best_score = -np.inf
@@ -138,7 +138,8 @@ class Trainer:
 
             if val_score_fn is not None:
                 self.model.eval()
-                score = float(val_score_fn())
+                with no_grad():
+                    score = float(val_score_fn())
             else:
                 score = -loss_value
             history["val_score"].append(score)

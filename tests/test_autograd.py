@@ -1,10 +1,12 @@
 """Unit tests for the autograd engine: every op checked against finite differences."""
 
+import threading
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from repro.tensor import Tensor, no_grad, ops
+from repro.tensor import Tensor, is_grad_enabled, no_grad, ops
 
 
 def numeric_grad(fn, x: np.ndarray, eps: float = 1e-6) -> np.ndarray:
@@ -317,12 +319,78 @@ class TestGatherScatter:
         np.testing.assert_allclose(x.grad, expected, rtol=1e-5, atol=1e-6)
 
 
+    def test_edge_weighted_sum_grads_numeric(self):
+        # Three sources feeding four destinations (one without edges),
+        # with a duplicate edge.
+        src = np.array([0, 2, 2, 1, 0, 2])
+        dst = np.array([1, 0, 1, 1, 2, 0])
+        edges = ops.HeadEdges(src, dst, 3, 4, 2)
+        h_data = RNG.normal(size=(3, 2, 3))
+        w_data = RNG.normal(size=(6, 2))
+        probe = Tensor(RNG.normal(size=(4, 2, 3)))
+
+        def loss(h, w):
+            return ops.sum(ops.mul(ops.edge_weighted_sum(h, w, edges), probe))
+
+        h = Tensor(h_data.copy(), requires_grad=True)
+        w = Tensor(w_data.copy(), requires_grad=True)
+        loss(h, w).backward()
+        expected_h = numeric_grad(lambda a: loss(Tensor(a), Tensor(w_data)).item(),
+                                  h_data.copy())
+        expected_w = numeric_grad(lambda a: loss(Tensor(h_data), Tensor(a)).item(),
+                                  w_data.copy())
+        np.testing.assert_allclose(h.grad, expected_h, rtol=1e-6, atol=1e-8)
+        np.testing.assert_allclose(w.grad, expected_w, rtol=1e-6, atol=1e-8)
+
+    @pytest.mark.parametrize("bad_src, bad_dst", [(3, 0), (0, 4), (-4, 0)])
+    def test_head_edges_reject_out_of_range_ids(self, bad_src, bad_dst):
+        # The sparse kernels do no bounds checking: ids are checked once,
+        # when the structure is built.
+        with pytest.raises(IndexError):
+            ops.HeadEdges(np.array([0, bad_src]), np.array([1, bad_dst]), 3, 4, 2)
+
+
 class TestGraphMechanics:
     def test_no_grad_blocks_recording(self):
         x = Tensor(np.ones(3), requires_grad=True)
         with no_grad():
             out = ops.mul(x, x)
         assert not out.requires_grad
+
+    def test_no_grad_is_per_thread(self):
+        # A enters, B enters, A leaves, B leaves.  With one process-wide
+        # flag, B's exit restores the "off" it saw on entry and recording
+        # stays off everywhere.
+        a_in, b_in, a_out = threading.Event(), threading.Event(), threading.Event()
+        seen = {}
+
+        def thread_a():
+            with no_grad():
+                a_in.set()
+                b_in.wait(10)
+            seen["a_after"] = is_grad_enabled()
+            a_out.set()
+
+        def thread_b():
+            a_in.wait(10)
+            with no_grad():
+                b_in.set()
+                a_out.wait(10)
+                seen["b_inside"] = is_grad_enabled()
+            seen["b_after"] = is_grad_enabled()
+
+        threads = [threading.Thread(target=fn) for fn in (thread_a, thread_b)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=10)
+        assert not any(thread.is_alive() for thread in threads)
+        assert seen == {"a_after": True, "b_inside": False, "b_after": True}
+        assert is_grad_enabled()
+        x = Tensor([1.0], requires_grad=True)
+        assert x.requires_grad
+        ops.sum(ops.mul(x, x)).backward()
+        np.testing.assert_allclose(x.grad, [2.0])
 
     def test_backward_on_non_scalar_requires_grad_arg(self):
         x = Tensor(np.ones((2, 2)), requires_grad=True)

@@ -71,6 +71,23 @@ class TestGraphEdgeViews:
         assert g.edge_view("gcn") is g.edge_view("gcn")
         assert g.edge_view("attention") is g.edge_view("attention")
 
+    def test_head_edges_built_once_per_head_count(self, monkeypatch):
+        built = []
+        real = ops.HeadEdges
+
+        def counting(src, dst, num_src, num_dst, heads):
+            built.append(heads)
+            return real(src, dst, num_src, num_dst, heads)
+
+        monkeypatch.setattr(ops, "HeadEdges", counting)
+        g = small_graph()
+        view = g.edge_view("attention")
+        x = Tensor(RNG.normal(size=(g.num_nodes, 4)))
+        for heads in (2, 2, 3, 2, 3):
+            GATConv(4, 5, rng(), num_heads=heads).propagate(x, view)
+        assert built == [2, 3]
+        assert view.head_edges(g.num_nodes, 2) is view.head_edges(g.num_nodes, 2)
+
     def test_attention_view_bakes_in_self_loops(self):
         g = small_graph()
         view = g.edge_view("attention")

@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from repro import nn
 from repro.construction.intrinsic import multiplex_from_dataset
@@ -26,7 +27,7 @@ from repro.models import (
     KNNGraphClassifier,
     TabGNN,
 )
-from repro.tensor import Tensor
+from repro.tensor import Tensor, ops
 
 RNG = np.random.default_rng(23)
 
@@ -59,6 +60,32 @@ class TestTabGNN:
         graph = multiplex_from_dataset(ds)
         with pytest.raises(ValueError):
             TabGNN(graph, 8, 2, rng(), fusion="concat")
+
+    @pytest.mark.parametrize("fusion", ["attention", "mean"])
+    def test_csr_input_matches_dense_reference(self, fusion):
+        _, model = self.build(fusion)
+        _, reference = self.build(fusion)
+        assert sp.issparse(model.x)
+        reference.x = Tensor(model.x.toarray())
+        probe = Tensor(RNG.normal(size=(60, 2)))
+        logits = []
+        for m in (model, reference):
+            out = m()
+            ops.sum(ops.mul(out, probe)).backward()
+            logits.append(out.data)
+
+        def assert_close(actual, expected, name):
+            scale = np.abs(expected).max()
+            assert np.abs(actual - expected).max() <= 1e-12 * scale, name
+
+        assert_close(logits[0], logits[1], "logits")
+        for (name, param), (_, ref_param) in zip(
+            model.named_parameters(), reference.named_parameters()
+        ):
+            if ref_param.grad is None:  # attention_vector under mean fusion
+                assert param.grad is None, name
+            else:
+                assert_close(param.grad, ref_param.grad, name)
 
     def test_trains(self):
         ds, model = self.build()

@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from repro import nn
 from repro.tensor import Tensor, ops
@@ -86,6 +87,19 @@ class TestLinear:
         out.backward()
         assert linear.weight.grad.shape == (3, 2)
         np.testing.assert_allclose(linear.bias.grad, np.full(2, 4.0))
+
+
+    def test_sparse_input_matches_dense(self):
+        dense = RNG.normal(size=(6, 5)) * (RNG.random((6, 5)) < 0.3)
+        probe = Tensor(RNG.normal(size=(6, 3)))
+        results = []
+        for x in (Tensor(dense), sp.csr_matrix(dense)):
+            linear = nn.Linear(5, 3, rng())
+            out = linear(x)
+            ops.sum(ops.mul(out, probe)).backward()
+            results.append((out.data, linear.weight.grad, linear.bias.grad))
+        for sparse, reference in zip(results[1], results[0]):
+            np.testing.assert_allclose(sparse, reference, rtol=1e-12)
 
 
 class TestEmbedding:

@@ -107,6 +107,63 @@ def test_scatters_equal_ufunc_at_reference(case):
     assert np.array_equal(ops.segment_max(values, ids, num_rows), reference_max)
 
 
+def edge_sum_case(num_edges, num_src=3, num_dst=4, heads=2, width=3, seed=0):
+    """Seeded case with ``num_dst - 1`` left without in-edges."""
+    local = np.random.default_rng(seed)
+    return (local.normal(size=(num_src, heads, width)),
+            local.normal(size=(num_edges, heads)),
+            local.integers(0, num_src, num_edges),
+            local.integers(0, num_dst - 1, num_edges),
+            num_dst,
+            local.normal(size=(num_dst, heads, width)))
+
+
+@st.composite
+def edge_sum_cases(draw):
+    """(h, w, src, dst, num_dst, probe): duplicate edges, destinations
+    without edges, zero edges, ``n_src != num_dst``, 1-4 heads, and edge
+    counts on both sides of the weight gradient's block size."""
+    num_src = draw(st.integers(1, 5))
+    num_dst = draw(st.integers(1, 5))
+    heads = draw(st.integers(1, 4))
+    width = draw(st.integers(1, 3))
+    num_edges = draw(st.one_of(st.integers(0, 12),
+                               st.sampled_from([255, 256, 257, 600])))
+    src = draw(arrays(np.int64, num_edges, elements=st.integers(0, num_src - 1)))
+    dst = draw(arrays(np.int64, num_edges, elements=st.integers(0, num_dst - 1)))
+    h = draw(arrays(np.float64, (num_src, heads, width), elements=finite))
+    w = draw(arrays(np.float64, (num_edges, heads), elements=finite))
+    probe = draw(arrays(np.float64, (num_dst, heads, width), elements=finite))
+    return h, w, src, dst, num_dst, probe
+
+
+@settings(max_examples=40, deadline=None)
+@given(edge_sum_cases())
+@example(edge_sum_case(0))
+@example(edge_sum_case(257, heads=4))
+@example(edge_sum_case(600, num_src=7, num_dst=2, heads=3, width=1))
+def test_edge_weighted_sum_equals_composed_reference(case):
+    # Both sparse products add in edge order and the weight gradient
+    # reduces each (edge, head) row on its own, so equality is exact.
+    h_data, w_data, src, dst, num_dst, probe = case
+    num_src, heads = h_data.shape[:2]
+    h = Tensor(h_data, requires_grad=True)
+    w = Tensor(w_data, requires_grad=True)
+    out = ops.edge_weighted_sum(h, w, ops.HeadEdges(src, dst, num_src, num_dst, heads))
+    out.backward(probe)
+
+    h_ref = Tensor(h_data, requires_grad=True)
+    w_ref = Tensor(w_data, requires_grad=True)
+    messages = ops.mul(ops.gather_rows(h_ref, src),
+                       ops.reshape(w_ref, (len(src), heads, 1)))
+    reference = ops.segment_sum(messages, dst, num_dst)
+    reference.backward(probe)
+
+    assert out.shape == reference.shape and np.array_equal(out.data, reference.data)
+    assert np.array_equal(h.grad, h_ref.grad)
+    assert np.array_equal(w.grad, w_ref.grad)
+
+
 @settings(max_examples=30, deadline=None)
 @given(arrays(np.float64, st.integers(2, 20), elements=finite))
 def test_segment_softmax_within_single_segment_is_softmax(scores):

@@ -9,7 +9,7 @@ from repro.construction.rules import knn_graph
 from repro.datasets import make_correlated_instances, train_val_test_masks
 from repro.gnn.networks import GCN
 from repro.metrics import accuracy
-from repro.tensor import Tensor, ops
+from repro.tensor import Tensor, is_grad_enabled, ops
 from repro.training import (
     ContrastiveTask,
     DenoisingAutoencoderTask,
@@ -87,6 +87,40 @@ class TestTrainer:
         result = trainer.fit(lambda: nn.cross_entropy(model(), ds.y, mask=train))
         assert len(result.history["loss"]) == len(result.history["val_score"]) == 7
         assert result.final_loss() == result.history["loss"][-1]
+
+    def test_validation_records_no_graph_and_keeps_trajectory(self):
+        ds, g, model, train, val, test = tiny_problem()
+        grad_modes = []
+
+        def val_fn():
+            grad_modes.append(is_grad_enabled())
+            logits = model()
+            assert not logits.requires_grad
+            return accuracy(ds.y[val], logits.data.argmax(axis=1)[val])
+
+        trainer = Trainer(model, nn.Adam(model.parameters(), lr=0.01),
+                          max_epochs=12, patience=None)
+        result = trainer.fit(lambda: nn.cross_entropy(model(), ds.y, mask=train),
+                             val_fn)
+        assert grad_modes == [False] * 12
+
+        # The same loop with a recording validation, on an identical model.
+        _, _, twin, *_ = tiny_problem()
+        optimizer = nn.Adam(twin.parameters(), lr=0.01)
+        losses, scores = [], []
+        for _ in range(12):
+            twin.train()
+            loss = nn.cross_entropy(twin(), ds.y, mask=train)
+            optimizer.zero_grad()
+            loss.backward()
+            optimizer.step()
+            losses.append(loss.item())
+            twin.eval()
+            logits = twin()
+            assert logits.requires_grad
+            scores.append(accuracy(ds.y[val], logits.data.argmax(axis=1)[val]))
+        assert result.history == {"loss": losses, "val_score": scores}
+        assert result.best_epoch == int(np.argmax(scores)) + 1
 
     def test_invalid_epochs(self):
         _, _, model, *_ = tiny_problem()
