@@ -167,20 +167,18 @@ def multiplex_from_dataset(
     include_numerical_bins: bool = False,
     max_group_degree: Optional[int] = 30,
     rng: Optional[np.random.Generator] = None,
-    specs: Optional[List[ValueColumnSpec]] = None,
 ) -> MultiplexGraph:
     """Multiplex instance graph: one Same-Feature-Value layer per column (TabGNN)."""
     x = dataset.to_matrix()
     graph = MultiplexGraph(dataset.num_instances, x=x, y=dataset.y)
     rng = rng or np.random.default_rng(0)
-    if specs is None:
-        specs = value_column_specs(dataset, n_bins, include_numerical_bins)
-    for spec in specs:
+    for spec in value_column_specs(dataset, n_bins, include_numerical_bins):
         layer = same_value_graph(
             spec.codes, max_group_degree=max_group_degree, rng=rng
         )
         graph.add_layer(spec.name, layer.edge_index)
-    if graph.num_layers == 0:
+        graph.add_value_layer(spec.name, spec.codes)
+    if not graph.relations:
         raise ValueError(
             "multiplex formulation needs categorical columns "
             "(or include_numerical_bins=True)"

@@ -13,13 +13,12 @@ columns, the quantile edges that map raw numbers to values).  An unseen
 row's value is looked up in the frozen vocabulary and the query aggregates
 the cached pool-side conv messages of that group; a *never-seen* value
 falls into the UNK bucket — no pool group, the query's own transformed
-state flows through instead (exactly the self-loop an isolated training
-node has) — so out-of-vocabulary values yield valid predictions without
-growing the vocabulary.  Because GCN over an uncapped value clique equals
-the group mean, training-table rows served this way reproduce their
-transductive logits to round-off (degree-capped groups — the rule's
-scalability guard — are served with the same group-mean semantics and may
-deviate slightly).
+state flows through instead (exactly the one-row group a missing value
+forms in training) — so out-of-vocabulary values yield valid predictions
+without growing the vocabulary.  TabGNN trains on the same exact group
+means (GCN over a value clique with self loops *is* the group mean, and
+the clique is never built), so training-table rows served this way always
+reproduce their transductive logits to round-off.
 """
 
 from __future__ import annotations
@@ -30,11 +29,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from repro import nn
-from repro.construction.intrinsic import (
-    ValueColumnSpec,
-    multiplex_from_dataset,
-    value_column_specs,
-)
+from repro.construction.intrinsic import ValueColumnSpec, value_column_specs
 from repro.datasets.preprocessing import TabularPreprocessor
 from repro.formulations.base import FittedFormulation, Formulation, RowScorer
 from repro.graph.multiplex import MultiplexGraph
@@ -152,17 +147,11 @@ class FittedMultiplex(FittedFormulation):
         vocabularies: List[Vocabulary],
         preprocessor: TabularPreprocessor,
         config: Dict[str, object],
-        capped_groups: int = 0,
     ) -> None:
         super().__init__(config, preprocessor)
         self.graph = graph
         self.specs = list(specs)
         self.vocabularies = list(vocabularies)
-        #: value groups whose training cliques were degree-capped by
-        #: ``max_group_degree``.  0 ⇒ served training rows reproduce the
-        #: transductive logits exactly; > 0 ⇒ members of those groups are
-        #: served with group-mean semantics and may deviate slightly.
-        self.capped_groups = int(capped_groups)
 
     def build_model(self, rng, graph=None) -> nn.Module:
         return TabGNN(
@@ -187,7 +176,6 @@ class FittedMultiplex(FittedFormulation):
         }
         columns: List[Dict[str, object]] = []
         for i, (spec, vocab) in enumerate(zip(self.specs, self.vocabularies)):
-            arrays[f"rel{i}::edge_index"] = self.graph.layer(spec.name).edge_index
             keys = np.array(sorted(vocab), dtype=np.int64)
             members = [vocab[int(k)] for k in keys]
             arrays[f"rel{i}::vocab_keys"] = keys
@@ -205,16 +193,15 @@ class FittedMultiplex(FittedFormulation):
         meta = {
             "pool_rows": int(self.graph.num_nodes),
             "columns": columns,
-            "capped_groups": self.capped_groups,
         }
         return arrays, meta
 
     @classmethod
     def from_payload(cls, arrays, meta, config, preprocessor) -> "FittedMultiplex":
         x = np.asarray(arrays["x"], dtype=np.float64)
+        graph = MultiplexGraph(x.shape[0], x=x)
         specs: List[ValueColumnSpec] = []
         vocabularies: List[Vocabulary] = []
-        layers: Dict[str, np.ndarray] = {}
         for i, column in enumerate(meta["columns"]):
             specs.append(ValueColumnSpec.from_meta(
                 column, bin_edges=arrays.get(f"rel{i}::bin_edges")
@@ -226,12 +213,11 @@ class FittedMultiplex(FittedFormulation):
                 int(key): members[offsets[j]:offsets[j + 1]]
                 for j, key in enumerate(keys)
             })
-            layers[str(column["name"])] = arrays[f"rel{i}::edge_index"]
-        graph = MultiplexGraph.from_layers(x.shape[0], layers, x=x)
-        return cls(
-            graph, specs, vocabularies, preprocessor, config,
-            capped_groups=int(meta.get("capped_groups", 0)),
-        )
+            # Members take their key; every other row was missing (-1).
+            codes = np.full(x.shape[0], -1, dtype=np.int64)
+            codes[members] = np.repeat(keys, np.diff(offsets))
+            graph.add_value_layer(str(column["name"]), codes)
+        return cls(graph, specs, vocabularies, preprocessor, config)
 
     def make_scorer(self, artifact, incremental, stats) -> MultiplexScorer:
         return MultiplexScorer(artifact, self, incremental, stats)
@@ -244,26 +230,17 @@ class MultiplexFormulation(Formulation):
     def fit(self, dataset, train_mask, config) -> FittedMultiplex:
         n_bins = int(config.get("n_bins", 5))
         include_bins = bool(config.get("include_numerical_bins", True))
-        cap = config.get("max_group_degree", 30)
         specs = value_column_specs(
             dataset, n_bins=n_bins, include_numerical_bins=include_bins
         )
-        graph = multiplex_from_dataset(
-            dataset, n_bins=n_bins, include_numerical_bins=include_bins,
-            max_group_degree=cap, specs=specs,
+        graph = MultiplexGraph(
+            dataset.num_instances, x=dataset.to_matrix(), y=dataset.y
         )
-        vocabularies = _build_vocabularies(specs)
-        capped_groups = 0
-        if cap is not None:
-            capped_groups = sum(
-                int(members.shape[0] - 1 > cap)
-                for vocab in vocabularies
-                for members in vocab.values()
-            )
+        for spec in specs:
+            graph.add_value_layer(spec.name, spec.codes)
         # The node features are dataset.to_matrix(); an unmasked onehot fit
         # reproduces that transform exactly for serve-time rows.
         preprocessor = TabularPreprocessor(mode="onehot").fit(dataset)
         return self.fitted_cls(
-            graph, specs, vocabularies, preprocessor, config,
-            capped_groups=capped_groups,
+            graph, specs, _build_vocabularies(specs), preprocessor, config
         )

@@ -7,15 +7,37 @@ categorical feature f" (the Same-Feature-Value rule of Sec. 4.2.2).
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional
+from typing import Dict, List, Optional, Tuple
 
 import numpy as np
+import scipy.sparse as sp
 
 from repro.graph.homogeneous import Graph
 
 
+def group_mean_operators(codes: np.ndarray) -> Tuple[sp.csr_matrix, sp.csr_matrix]:
+    """``(members, means)``: ``members @ (means @ z)`` is each row's group mean.
+
+    ``members`` is the ``(n, G)`` 0/1 membership matrix of the rows sharing
+    a code and ``means = diag(1/|g|) @ members.T``; a missing code (-1)
+    forms its own one-row group.  This equals GCN over the value cliques
+    with self loops (every entry of a group's block is ``1/|g|``) with
+    ``n`` nonzeros per matrix instead of ``|g|²`` per group.
+    """
+    codes = np.asarray(codes, dtype=np.int64).reshape(-1)
+    n = codes.shape[0]
+    keys = np.where(codes >= 0, codes, -1 - np.arange(n))
+    _, group, sizes = np.unique(keys, return_inverse=True, return_counts=True)
+    members = sp.csr_matrix((np.ones(n), group, np.arange(n + 1)), shape=(n, sizes.size))
+    means = (sp.diags(1.0 / sizes) @ members.T).tocsr()
+    return members, means
+
+
 class MultiplexGraph:
     """A layered graph: one homogeneous layer per relation, shared nodes.
+
+    A relation may also be held as a value layer (:meth:`add_value_layer`):
+    one value code per node, which TabGNN aggregates by group mean.
 
     Parameters
     ----------
@@ -39,15 +61,12 @@ class MultiplexGraph:
         if self.y is not None and self.y.shape[0] != num_nodes:
             raise ValueError("y must have one entry per node")
         self._layers: Dict[str, Graph] = {}
+        self._codes: Dict[str, np.ndarray] = {}
 
     # ------------------------------------------------------------------
     @property
     def relations(self) -> List[str]:
         return list(self._layers)
-
-    @property
-    def num_layers(self) -> int:
-        return len(self._layers)
 
     def add_layer(self, relation: str, edge_index: np.ndarray,
                   edge_weight: Optional[np.ndarray] = None) -> None:
@@ -61,27 +80,19 @@ class MultiplexGraph:
     def layer(self, relation: str) -> Graph:
         return self._layers[relation]
 
-    @classmethod
-    def from_layers(
-        cls,
-        num_nodes: int,
-        layers: Dict[str, np.ndarray],
-        x: Optional[np.ndarray] = None,
-        y: Optional[np.ndarray] = None,
-    ) -> "MultiplexGraph":
-        """Rebuild a multiplex graph from per-relation edge indexes.
+    def add_value_layer(self, relation: str, codes: np.ndarray) -> None:
+        """Add one relation as per-node value codes (``-1`` = missing)."""
+        if relation in self._codes:
+            raise KeyError(f"value layer {relation!r} already exists")
+        codes = np.asarray(codes, dtype=np.int64).reshape(-1)
+        if codes.shape[0] != self.num_nodes:
+            raise ValueError("codes must have one entry per node")
+        self._codes[relation] = codes
 
-        The inverse of iterating ``relations`` / ``layer(r).edge_index`` —
-        used by serving artifacts to rehydrate the frozen training-pool
-        graph from flat arrays.  Insertion order of ``layers`` is preserved.
-        """
-        graph = cls(num_nodes, x=x, y=y)
-        for relation, edge_index in layers.items():
-            graph.add_layer(relation, np.asarray(edge_index, dtype=np.int64))
-        return graph
-
-    def layers(self) -> List[Graph]:
-        return list(self._layers.values())
+    @property
+    def value_layers(self) -> Dict[str, np.ndarray]:
+        """Relation name → value codes, in insertion order."""
+        return dict(self._codes)
 
     def flatten(self) -> Graph:
         """Merge all layers into a single multi-relational homogeneous graph.

@@ -25,14 +25,20 @@ import scipy.sparse as sp
 
 from repro import nn
 from repro.gnn.conv import GCNConv
-from repro.graph.multiplex import MultiplexGraph
+from repro.graph.multiplex import MultiplexGraph, group_mean_operators
 from repro.tensor import Tensor, ops
 
 FUSIONS = ("attention", "mean")
 
 
 class TabGNN(nn.Module):
-    """Multiplex-graph classifier with per-relation encoders and fusion."""
+    """Multiplex-graph classifier with per-relation encoders and fusion.
+
+    One GCN encoder per value layer of ``graph``.  GCN over a value clique
+    with self loops is exactly the group mean, so each layer aggregates
+    through the **group-mean operator** ``members @ (means @ z)`` of
+    :func:`~repro.graph.multiplex.group_mean_operators`, never the clique.
+    """
 
     def __init__(
         self,
@@ -49,16 +55,16 @@ class TabGNN(nn.Module):
             raise ValueError(f"fusion must be one of {FUSIONS}")
         if graph.x is None:
             raise ValueError("multiplex graph must carry node features")
-        if graph.num_layers == 0:
-            raise ValueError("multiplex graph has no relation layers")
+        if not graph.value_layers:
+            raise ValueError("multiplex graph has no value layers")
         self.graph = graph
         self.fusion = fusion
         self.x = sp.csr_matrix(graph.x)
         in_dim = graph.x.shape[1]
 
-        self._adjacencies = [layer.gcn_adjacency() for layer in graph.layers()]
+        self._groups = [group_mean_operators(c) for c in graph.value_layers.values()]
         self.relation_encoders = nn.ModuleList()
-        for _ in range(graph.num_layers):
+        for _ in self._groups:
             convs = nn.ModuleList()
             prev = in_dim
             for _ in range(num_layers):
@@ -73,10 +79,10 @@ class TabGNN(nn.Module):
     def relation_embeddings(self) -> list[Tensor]:
         """One (n, hidden) embedding per relation layer."""
         outputs = []
-        for convs, adj in zip(self.relation_encoders, self._adjacencies):
+        for convs, (members, means) in zip(self.relation_encoders, self._groups):
             h = self.x
             for i, conv in enumerate(convs):
-                h = conv(h, adj)
+                h = ops.spmm(members, ops.spmm(means, conv.linear(h)))
                 if i < len(convs) - 1:
                     h = ops.relu(h)
             outputs.append(h)
@@ -127,13 +133,13 @@ class TabGNN(nn.Module):
         rows, so the whole pool side of serving is computed once here.
         """
         states: list[list[np.ndarray]] = []
-        for convs, adj in zip(self.relation_encoders, self._adjacencies):
+        for convs, (members, means) in zip(self.relation_encoders, self._groups):
             h = self.x
             entries: list[np.ndarray] = []
             for i, conv in enumerate(convs):
                 z = conv.linear(h)
                 entries.append(z.data)
-                h = ops.spmm(adj, z)
+                h = ops.spmm(members, ops.spmm(means, z))
                 if i < len(convs) - 1:
                     h = ops.relu(h)
             states.append(entries)
@@ -152,10 +158,10 @@ class TabGNN(nn.Module):
         ``q``'s value in relation ``r`` (an all-zero row when the value is
         unseen or missing).  Queries with a group aggregate the cached pool
         messages of that group; queries without one fall back to their own
-        transformed state — exactly the self-loop a node with no same-value
-        partner has in the training graph.  For uncapped value groups this
-        reproduces a training row's transductive logits to round-off,
-        because GCN over a value clique is precisely the group mean.
+        transformed state — exactly the one-row group a missing value forms
+        in training.  A training row's query therefore reproduces its
+        transductive logits to round-off: training aggregates the same
+        group means.
         """
         features = np.asarray(features, dtype=np.float64)
         if features.ndim != 2 or features.shape[1] != self.x.shape[1]:

@@ -184,6 +184,8 @@ class TestIntrinsicBuilders:
         g = multiplex_from_dataset(ds)
         assert g.relations == ["device", "merchant"]
         assert g.num_nodes == 80
+        assert list(g.value_layers) == g.relations
+        assert np.array_equal(g.value_layers["merchant"], ds.categorical[:, 1])
 
     def test_hypergraph_from_dataset(self):
         ds = self.make_mixed()

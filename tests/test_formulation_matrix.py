@@ -54,8 +54,6 @@ MATRIX = _matrix()
 
 @pytest.fixture(scope="module")
 def dataset():
-    # Small n keeps every multiplex same-value group under the degree cap
-    # (capped_groups == 0), the regime where value-node serving is exact.
     return make_fraud(n=140, seed=1)
 
 

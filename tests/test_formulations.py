@@ -15,6 +15,7 @@ import numpy as np
 import pytest
 
 from repro import formulations
+from repro.construction.rules import same_value_graph
 from repro.formulations import FittedFormulation, Formulation
 from repro.datasets import make_fraud
 from repro.pipeline import FORMULATIONS, run_pipeline
@@ -32,9 +33,6 @@ def _softmax(logits):
 
 @pytest.fixture(scope="module")
 def dataset():
-    # Small n keeps every same-value group under the degree cap, so the
-    # multiplex value cliques are exact (group-mean) — the regime where
-    # served training rows must reproduce transductive logits.
     return make_fraud(n=140, seed=0)
 
 
@@ -123,9 +121,6 @@ class TestServableRoundTrip:
         # float round-off.
         result = results[form]
         artifact = result.export_artifact()
-        if form == "multiplex":
-            # Exactness holds in the uncapped regime; the artifact says so.
-            assert artifact.payload_meta["capped_groups"] == 0
         engine = InferenceEngine(artifact, cache_size=0)
         idx = np.arange(30)
         served = engine.predict_batch(
@@ -134,24 +129,45 @@ class TestServableRoundTrip:
         transductive = _softmax(result.state.logits()[idx])
         np.testing.assert_allclose(served, transductive, atol=1e-6)
 
-    def test_multiplex_capped_groups_reported_and_still_serve(self, tmp_path):
-        # Popular values blow past max_group_degree=30: the training graph
-        # samples partners, so served group-mean aggregation is approximate.
-        # The artifact must disclose that (capped_groups > 0) and still
-        # produce valid predictions for group members.
+    def test_multiplex_large_groups_serve_exactly(self, tmp_path):
+        # Every value group here holds 67-118 rows.  Training aggregates the
+        # exact group means whatever their size, so every training row
+        # serves its transductive probabilities to round-off.
         big = make_fraud(n=400, num_devices=5, num_merchants=4, seed=1)
         result = run_pipeline(big, formulation="multiplex", max_epochs=3, seed=0)
-        artifact = result.export_artifact()
-        assert artifact.payload_meta["capped_groups"] > 0
-        path = artifact.save(tmp_path / "capped")
-        loaded = ModelArtifact.load(path)
-        assert (
-            loaded.fitted.capped_groups == artifact.payload_meta["capped_groups"]
+        path = result.export_artifact().save(tmp_path / "large")
+        engine = InferenceEngine(ModelArtifact.load(path), cache_size=0)
+        served = engine.predict_batch(big.numerical, big.categorical)
+        transductive = _softmax(result.state.logits())
+        assert np.abs(served - transductive).max() <= 1e-12
+
+    def test_legacy_multiplex_artifact_with_edge_lists_serves_same(
+        self, tmp_path, dataset, results
+    ):
+        # Older artifacts also stored each relation's degree-capped
+        # same-value edge list and a capped-groups count; the loader
+        # ignores both.
+        result = results["multiplex"]
+        clean = result.export_artifact().save(tmp_path / "clean")
+        with np.load(clean) as data:
+            arrays = {name: data[name] for name in data.files}
+        codes = result.state.fitted.graph.value_layers.values()
+        for i, relation_codes in enumerate(codes):
+            arrays[f"form::rel{i}::edge_index"] = same_value_graph(
+                relation_codes
+            ).edge_index
+        legacy = tmp_path / "legacy.npz"
+        np.savez(legacy, **arrays)
+        sidecar = json.loads(clean.with_suffix(".json").read_text())
+        sidecar["formulation_state"]["capped_groups"] = 0
+        legacy.with_suffix(".json").write_text(json.dumps(sidecar))
+
+        rows = (dataset.numerical, dataset.categorical)
+        expected = InferenceEngine(ModelArtifact.load(clean), cache_size=0)
+        actual = InferenceEngine(ModelArtifact.load(legacy), cache_size=0)
+        assert np.array_equal(
+            actual.predict_batch(*rows), expected.predict_batch(*rows)
         )
-        engine = InferenceEngine(loaded, cache_size=0)
-        probs = engine.predict_batch(big.numerical[:5], big.categorical[:5])
-        assert np.isfinite(probs).all()
-        np.testing.assert_allclose(probs.sum(axis=1), 1.0, atol=1e-10)
 
     @pytest.mark.parametrize("form", ["multiplex", "hetero", "hypergraph"])
     def test_unseen_value_hits_unk_bucket(self, form, tmp_path, dataset, results):

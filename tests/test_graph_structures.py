@@ -248,6 +248,17 @@ class TestMultiplexGraph:
         with pytest.raises(KeyError):
             g.add_layer("a", np.array([[1], [0]]))
 
+    def test_value_layers_validate_and_keep_order(self):
+        g = MultiplexGraph(3)
+        g.add_value_layer("b", [0, -1, 0])
+        g.add_value_layer("a", np.array([1, 1, 2]))
+        assert list(g.value_layers) == ["b", "a"] and g.relations == []
+        assert g.value_layers["b"].dtype == np.int64
+        with pytest.raises(KeyError):
+            g.add_value_layer("a", [0, 0, 0])
+        with pytest.raises(ValueError):
+            g.add_value_layer("c", [0, 0])
+
     def test_flatten_merges_and_coalesces(self):
         g = MultiplexGraph(3, x=np.eye(3))
         g.add_layer("a", np.array([[0, 1], [1, 0]]))

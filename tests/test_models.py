@@ -13,6 +13,7 @@ from repro.datasets import (
     make_fraud,
 )
 from repro.graph.bipartite import BipartiteGraph
+from repro.graph.multiplex import MultiplexGraph
 from repro.metrics import accuracy, roc_auc
 from repro.models import (
     FATE,
@@ -60,6 +61,12 @@ class TestTabGNN:
         graph = multiplex_from_dataset(ds)
         with pytest.raises(ValueError):
             TabGNN(graph, 8, 2, rng(), fusion="concat")
+
+    def test_requires_value_layers(self):
+        graph = MultiplexGraph(4, x=np.eye(4))
+        graph.add_layer("a", np.array([[0, 1], [1, 0]]))
+        with pytest.raises(ValueError, match="value layers"):
+            TabGNN(graph, 8, 2, rng())
 
     @pytest.mark.parametrize("fusion", ["attention", "mean"])
     def test_csr_input_matches_dense_reference(self, fusion):

@@ -7,9 +7,10 @@ from hypothesis.extra.numpy import arrays
 
 from repro import metrics, nn
 from repro.construction.learned import topk_sparsify
-from repro.construction.rules import knn_edges, pairwise_distances
+from repro.construction.rules import knn_edges, pairwise_distances, same_value_graph
 from repro.datasets.preprocessing import MinMaxScaler, StandardScaler
 from repro.gnn.readout import mean_readout, sum_readout
+from repro.graph.multiplex import group_mean_operators
 from repro.graph.utils import (
     coalesce_edge_index,
     safe_reciprocal,
@@ -162,6 +163,35 @@ def test_edge_weighted_sum_equals_composed_reference(case):
     assert out.shape == reference.shape and np.array_equal(out.data, reference.data)
     assert np.array_equal(h.grad, h_ref.grad)
     assert np.array_equal(w.grad, w_ref.grad)
+
+
+@settings(max_examples=60, deadline=None)
+@given(arrays(np.int64, st.integers(1, 80), elements=st.integers(-1, 5)),
+       st.integers(1, 4), st.integers(0, 2**32 - 1))
+@example(np.zeros(80, np.int64), 3, 0)  # one 80-row group
+@example(np.full(7, -1), 2, 0)  # every row missing
+@example(np.arange(9), 1, 0)  # singleton groups only
+def test_group_mean_equals_uncapped_clique_gcn(codes, width, seed):
+    # TabGNN's value-layer aggregation against GCN over the materialized
+    # clique with self loops.  Both add at most 80 rounded terms per entry,
+    # so they agree to 80 ulps of the largest operand.
+    local = np.random.default_rng(seed)
+    z_data = local.normal(size=(codes.size, width))
+    probe = local.normal(size=(codes.size, width))
+    members, means = group_mean_operators(codes)
+    z = Tensor(z_data, requires_grad=True)
+    out = ops.spmm(members, ops.spmm(means, z))  # as TabGNN applies it
+    out.backward(probe)
+
+    adjacency = same_value_graph(codes, max_group_degree=None).gcn_adjacency()
+    z_ref = Tensor(z_data, requires_grad=True)
+    reference = ops.spmm(adjacency, z_ref)
+    reference.backward(probe)
+
+    assert out.shape == reference.shape
+    tol = 1e-14
+    assert np.abs(out.data - reference.data).max() <= tol * np.abs(z_data).max()
+    assert np.abs(z.grad - z_ref.grad).max() <= tol * np.abs(probe).max()
 
 
 @settings(max_examples=30, deadline=None)
