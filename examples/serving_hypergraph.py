@@ -11,7 +11,8 @@ degree-normalized mean of its member nodes' cached states — independent
 of how many rows the training table held.  Because a training row rejoins
 exactly the value nodes it occupied transductively, served training rows
 reproduce the transductive predictions to float round-off, and
-``incremental=False`` keeps a full-graph oracle to check that claim.
+``compiled=False`` builds the autograd oracle (the model rebuilt on the
+incidence with query columns appended) to check that claim.
 
 Run with:  PYTHONPATH=src python examples/serving_hypergraph.py
 """
@@ -39,8 +40,8 @@ with tempfile.TemporaryDirectory() as tmp:
     artifact = ModelArtifact.load(path)
     print("artifact:", artifact.summary())
 
-    # 3a. Incremental serving vs the two oracles.  Training rows match the
-    # transductive forward exactly; arbitrary rows match the full-graph
+    # 3a. Compiled serving vs the two references.  Training rows match the
+    # transductive forward exactly; arbitrary rows match the compiled=False
     # oracle (model rebuilt on the incidence with query columns appended).
     engine = InferenceEngine(artifact)
     served = engine.predict_batch(dataset.numerical[:8], dataset.categorical[:8])
@@ -50,10 +51,10 @@ with tempfile.TemporaryDirectory() as tmp:
     print("served vs transductive max |diff|:",
           float(np.abs(served - transductive).max()))
 
-    oracle = InferenceEngine(artifact, incremental=False)
+    oracle = InferenceEngine(artifact, compiled=False)
     rng = np.random.default_rng(0)
     unseen = dataset.numerical[:4] + rng.normal(0, 0.3, (4, dataset.num_numerical))
-    print("incremental vs full-graph oracle max |diff|:",
+    print("compiled vs oracle max |diff|:",
           float(np.abs(
               engine.predict_batch(unseen, dataset.categorical[:4])
               - oracle.predict_batch(unseen, dataset.categorical[:4])

@@ -76,9 +76,10 @@ with tempfile.TemporaryDirectory() as tmp:
     print("artifact:", path.name, "+", path.with_suffix(".json").name)
     artifact = ModelArtifact.load(path)
 
-    # 2. The default deployment: exact retrieval (and the compiled plan —
-    # the query path is lowered at init; compiled=False would keep the
-    # interpreted autograd scorer as the parity oracle).
+    # 2. The default deployment: exact retrieval and the compiled plan,
+    # lowered at init.  compiled=False would build the autograd oracle
+    # instead: the network's forward over the pool with the queries
+    # appended, the reference the plan is tested against.
     exact = InferenceEngine(artifact)
     print(f"exact engine:       index={exact.index} "
           f"(built in {exact.index_build_ms:.2f} ms), "

@@ -26,7 +26,7 @@ Serving quickstart — train, export, serve, predict::
     engine = InferenceEngine(ModelArtifact.load("model.npz"))
     probs = engine.predict([0.3] * dataset.num_numerical)
 
-    # Fresh process: micro-batched JSON-over-HTTP, stdlib only.
+    # Fresh process: JSON-over-HTTP, stdlib only.
     #   $ python -m repro.serving --artifact model.npz --port 8000
     #   $ curl -d '{"numerical": [0.3, ...]}' localhost:8000/predict
     #   $ curl localhost:8000/healthz

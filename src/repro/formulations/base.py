@@ -40,7 +40,7 @@ def _timed_score(inner):
     Applied once per concrete scorer class by
     :meth:`RowScorer.__init_subclass__`, so *every* formulation — current
     and future plug-ins — gets its scorer boundary timed for free; the
-    finer stages (encode / attach / propagate) are the formulation's own
+    finer stages (encode / attach / plan_execute) are the formulation's own
     :meth:`RowScorer.stage` calls nested inside this span.
     """
 
@@ -62,10 +62,11 @@ def _timed_score(inner):
 class RowScorer(abc.ABC):
     """Serve-time scoring strategy produced by a fitted formulation.
 
-    ``incremental`` reports whether the scorer propagates only query rows
-    against cached pool-side state (as opposed to rebuilding a full graph
-    per request).  Scorers receive *validated* raw row arrays (the engine
-    runs ``preprocessor.normalize_rows`` first) and return logits.
+    ``incremental`` reports whether the scorer computes only query rows
+    against cached pool-side state (the compiled fast path), as opposed to
+    re-running the model over the pool per request (the oracle).  Scorers
+    receive *validated* raw row arrays (the engine runs
+    ``preprocessor.normalize_rows`` first) and return logits.
 
     Observability: the engine binds its :class:`~repro.obs.Tracer` via
     :meth:`bind_tracer` after construction; on requests the engine samples
@@ -80,7 +81,7 @@ class RowScorer(abc.ABC):
     #: class-level default — unbound scorers trace nothing
     _tracer: Optional[Tracer] = None
     #: compiled plan executor (see :mod:`repro.serving.compiled`); ``None``
-    #: means the interpreted autograd path is in charge
+    #: on the oracle and on plug-in scorers that serve through ``score``
     _compiled = None
 
     def __init_subclass__(cls, **kwargs) -> None:
@@ -108,10 +109,11 @@ class RowScorer(abc.ABC):
         """Lower this scorer's query path to a compiled plan executor.
 
         Returns an executor (object with a ``.plan`` and a ``run``
-        method the scorer's ``score`` knows how to feed) or ``None`` when
-        the path cannot be lowered.  The default returns ``None``, so
-        plug-in formulations keep serving through the interpreted autograd
-        path without any extra work.
+        method the scorer's ``score`` knows how to feed).  The default
+        returns ``None``: plug-in formulations serve through their own
+        ``score`` without any extra work.  Built-in scorers raise
+        :class:`~repro.serving.compiled.UnsupportedPlanError` when their
+        model does not lower; they never fall back to a slower path.
         """
         return None
 
@@ -153,7 +155,7 @@ class FittedFormulation(abc.ABC):
         """Instantiate the architecture this formulation trains/serves.
 
         ``graph`` optionally overrides the construction graph (the serving
-        engine's full-graph oracle path builds on an induced graph).
+        oracle builds on a copy with the query rows appended).
         """
 
     def forward_fn(self, model: nn.Module) -> Callable[[], object]:
@@ -194,13 +196,16 @@ class FittedFormulation(abc.ABC):
             f"formulation {self.name!r} does not export serving artifacts"
         )
 
-    def make_scorer(self, artifact, incremental: Optional[bool], stats: Dict[str, int]) -> RowScorer:
+    def make_scorer(self, artifact, compiled: bool, stats: Dict[str, int]) -> RowScorer:
         """Build the scorer the inference engine delegates requests to.
 
-        ``incremental=None`` lets the formulation pick its best path;
-        explicit ``True``/``False`` must be honored or rejected with a
-        ``ValueError``.  ``stats`` is the engine's counter dict — scorers
-        may add their own counters (e.g. ``unk_values``).
+        ``compiled=True`` prepares the fast path the engine then lowers
+        through :meth:`RowScorer.enable_compiled`; ``compiled=False`` builds
+        the formulation's autograd oracle: the training model's forward
+        over the frozen pool with the query rows appended as receive-only
+        nodes.  ``stats`` is the engine's counter dict — scorers may add
+        their own counters (e.g. ``unk_values``), counted the same way in
+        both modes.
         """
         raise NotImplementedError(
             f"formulation {self.name!r} does not support serving"

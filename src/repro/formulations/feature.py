@@ -21,16 +21,15 @@ from repro.models import FeatureGraphClassifier
 
 
 class FeatureScorer(RowScorer):
-    """Direct row-wise scoring; the model is built once and reused."""
+    """Direct row-wise scoring; the model is built once and reused.
+
+    There is no pool, so both modes score only the query rows: the
+    compiled plan, or the model's own forward as the oracle.
+    """
 
     incremental = False
 
-    def __init__(self, artifact, incremental: Optional[bool], stats) -> None:
-        if incremental:
-            raise ValueError(
-                "feature-formulation artifacts have no pool graph to "
-                "propagate from; use incremental=None/False"
-            )
+    def __init__(self, artifact) -> None:
         self._artifact = artifact
         self.model = artifact.build_model()
 
@@ -40,9 +39,8 @@ class FeatureScorer(RowScorer):
         if self._compiled is not None:
             with self.stage("plan_execute"):
                 return self._compiled.run(features)
-        with self.stage("propagate"):
-            self.model.eval()
-            return self.model(features).data
+        self.model.eval()
+        return self.model(features).data
 
     def compile_plan(self):
         from repro.serving.compiled import compile_feature
@@ -100,8 +98,8 @@ class FittedFeature(FittedFormulation):
     def from_payload(cls, arrays, meta, config, preprocessor) -> "FittedFeature":
         return cls(preprocessor, config)
 
-    def make_scorer(self, artifact, incremental, stats) -> FeatureScorer:
-        return FeatureScorer(artifact, incremental, stats)
+    def make_scorer(self, artifact, compiled, stats) -> FeatureScorer:
+        return FeatureScorer(artifact)
 
 
 class FeatureFormulation(Formulation):

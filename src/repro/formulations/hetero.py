@@ -11,12 +11,12 @@ Instances receive messages *only* from value-node types, and value-node
 states never depend on query rows, so one pool forward caches everything:
 a query row attaches to the frozen value node for each of its values by
 vocabulary lookup (for binned columns, through the frozen quantile edges)
-and replays the per-layer update with those cached states — training-table
-rows reproduce their transductive logits exactly.  A never-seen value
-(code outside the training cardinality) falls into the UNK bucket: no
-edge, zero message for that column — the same treatment a missing cell
-gets transductively — so predictions stay valid and the vocabulary never
-grows.
+and the compiled plan runs the per-layer update with those cached states —
+training-table rows reproduce their transductive logits exactly.  A
+never-seen value (code outside the training cardinality) falls into the
+UNK bucket: no edge, zero message for that column — the same treatment a
+missing cell gets transductively — so predictions stay valid and the
+vocabulary never grows.
 """
 
 from __future__ import annotations
@@ -40,29 +40,31 @@ _GRAPH = "graph::"
 
 
 class HeteroScorer(RowScorer):
-    """Value-node lookup scoring against cached typed pool states."""
+    """Value-node lookup scoring against the typed pool states.
 
-    incremental = True
+    ``compiled=True`` caches the pool's per-layer typed states for the
+    compiled plan, which gathers each query's value-node messages;
+    ``compiled=False`` is the autograd oracle, HeteroGNN's forward over the
+    graph with the queries appended as receive-only instance nodes
+    (:meth:`~repro.graph.HeteroGraph.with_queries`).
+    """
 
     def __init__(
         self,
         artifact,
         fitted: "FittedHetero",
-        incremental: Optional[bool],
+        compiled: bool,
         stats: Dict[str, int],
     ) -> None:
-        if incremental is False:
-            raise ValueError(
-                "hetero artifacts serve through frozen value-node "
-                "vocabularies; there is no full-graph oracle path "
-                "(incremental=False)"
-            )
+        self._artifact = artifact
         self._fitted = fitted
         self._stats = stats
         stats.setdefault("unk_values", 0)
         stats.setdefault("attach_edges", 0)
-        self.model = artifact.build_model()
-        self.pool_states = self.model.network.pool_states()
+        self.incremental = bool(compiled)
+        if self.incremental:
+            self.model = artifact.build_model()
+            self.pool_states = self.model.network.pool_states()
 
     def score(self, numerical: np.ndarray, categorical: np.ndarray) -> np.ndarray:
         with self.stage("encode"):
@@ -82,10 +84,9 @@ class HeteroScorer(RowScorer):
         if self._compiled is not None:
             with self.stage("plan_execute"):
                 return self._compiled.run(features, value_ids)
-        with self.stage("propagate"):
-            return self.model.network.propagate_queries(
-                features, value_ids, self.pool_states
-            )
+        graph = self._fitted.graph.with_queries(features, value_ids)
+        model = self._artifact.build_model(graph=graph)
+        return model().data[self._fitted.pool_rows:]
 
     def compile_plan(self):
         from repro.serving.compiled import compile_hetero
@@ -187,8 +188,8 @@ class FittedHetero(FittedFormulation):
             config,
         )
 
-    def make_scorer(self, artifact, incremental, stats) -> HeteroScorer:
-        return HeteroScorer(artifact, self, incremental, stats)
+    def make_scorer(self, artifact, compiled, stats) -> HeteroScorer:
+        return HeteroScorer(artifact, self, compiled, stats)
 
 
 class HeteroFormulation(Formulation):

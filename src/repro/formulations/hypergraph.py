@@ -22,10 +22,10 @@ training-table size.  Training rows rejoin exactly the value nodes they
 occupied transductively, so their served logits reproduce the full-graph
 forward to round-off; never-seen categorical codes get **no membership**
 (the UNK fallback — same zero-message treatment a missing cell gets,
-counted in ``stats["unk_values"]``).  ``incremental=False`` keeps a
-full-graph oracle: rebuild the model on the incidence with query columns
-appended (:meth:`~repro.graph.Hypergraph.with_hyperedges`) and read the
-query rows off the ordinary spmm forward.
+counted in ``stats["unk_values"]``).  ``compiled=False`` is the autograd
+oracle: rebuild the model on the incidence with query columns appended
+(:meth:`~repro.graph.Hypergraph.with_hyperedges`) and read the query rows
+off the ordinary spmm forward.
 """
 
 from __future__ import annotations
@@ -56,7 +56,7 @@ class HypergraphScorer(RowScorer):
         self,
         artifact,
         fitted: "FittedHypergraph",
-        incremental: Optional[bool],
+        compiled: bool,
         stats: Dict[str, int],
     ) -> None:
         self._artifact = artifact
@@ -64,12 +64,12 @@ class HypergraphScorer(RowScorer):
         self._stats = stats
         stats.setdefault("unk_values", 0)
         stats.setdefault("attach_edges", 0)
-        self.incremental = True if incremental is None else bool(incremental)
+        self.incremental = bool(compiled)
         if self.incremental:
             # One model on the frozen hypergraph, then the precompute step:
-            # one node-state forward, cached for the scorer's lifetime.  The
-            # oracle path rebuilds a model on the attached incidence per
-            # request instead, so it has no use for either.
+            # one node-state forward that the compiled plan folds into its
+            # constants.  The oracle rebuilds a model on the attached
+            # incidence per request instead, so it has no use for either.
             self.model = artifact.build_model()
             self.node_states = self.model.pool_node_states()
 
@@ -79,23 +79,17 @@ class HypergraphScorer(RowScorer):
                 numerical, categorical, self._stats
             )
             self._stats["attach_edges"] += int(np.count_nonzero(member_ids >= 0))
-        if self.incremental:
+        if self._compiled is not None:
             with self.stage("attach"):
                 view = self._fitted.graph.attach_view(member_ids)
-            if self._compiled is not None:
-                with self.stage("plan_execute"):
-                    return self._compiled.run(view, member_ids.shape[0])
-            with self.stage("propagate"):
-                return self.model.propagate_queries(view, self.node_states)
+            with self.stage("plan_execute"):
+                return self._compiled.run(view, member_ids.shape[0])
         with self.stage("attach"):
             attached = self._fitted.graph.with_hyperedges(member_ids)
             model = self._artifact.build_model(graph=attached)
-        with self.stage("propagate"):
-            return model().data[self._fitted.graph.num_hyperedges:]
+        return model().data[self._fitted.graph.num_hyperedges:]
 
     def compile_plan(self):
-        if not self.incremental:
-            return None  # the rebuild-per-request oracle stays interpreted
         from repro.serving.compiled import compile_hypergraph
 
         return compile_hypergraph(self.model, self.node_states)
@@ -165,8 +159,8 @@ class FittedHypergraph(FittedFormulation):
         )
         return cls(graph, spec, preprocessor, config)
 
-    def make_scorer(self, artifact, incremental, stats) -> HypergraphScorer:
-        return HypergraphScorer(artifact, self, incremental, stats)
+    def make_scorer(self, artifact, compiled, stats) -> HypergraphScorer:
+        return HypergraphScorer(artifact, self, compiled, stats)
 
 
 class HypergraphFormulation(Formulation):

@@ -3,9 +3,10 @@
 Phases 1+2 (LUNAR / GNN4MV style): one-hot featurize with statistics frozen
 on the training split, build a symmetric kNN graph, train any Table 5
 network on it.  Serving (PET style, survey Sec. 4.2.4): unseen rows link
-into the frozen training pool via retrieval and are scored incrementally —
-the pool's per-layer activations are cached once and only the query rows
-propagate, O(B·k·d) per request for every network in the zoo.
+into the frozen training pool via retrieval and are scored by a compiled
+plan — the pool's per-layer activations are folded in once and only the
+query rows are computed, O(B·k·d) per request for every network in the
+zoo.
 """
 
 from __future__ import annotations
@@ -28,10 +29,10 @@ from repro.graph.homogeneous import Graph
 class InstanceScorer(RowScorer):
     """Retrieval-attach scoring against the frozen training pool.
 
-    ``incremental=None/True`` (default) caches the pool's per-layer
-    activations at construction and propagates only the query rows per
-    request; ``incremental=False`` keeps the full-graph rebuild purely as a
-    correctness oracle.
+    ``compiled=True`` caches the pool's per-layer activations at
+    construction for the compiled plan, which computes only the query rows
+    per request; ``compiled=False`` is the autograd oracle, the network's
+    forward over the induced (pool + queries) graph.
 
     Retrieval rides a pluggable :class:`~repro.construction.PoolIndex`
     backend: ``index="exact"`` (default) is the exhaustive scan,
@@ -54,7 +55,7 @@ class InstanceScorer(RowScorer):
         self,
         artifact,
         fitted: "FittedInstance",
-        incremental: Optional[bool],
+        compiled: bool,
         stats: Dict[str, int],
         index: Optional[str] = None,
         nprobe: Optional[int] = None,
@@ -89,11 +90,11 @@ class InstanceScorer(RowScorer):
             stats.setdefault("retrieval_probed_cells", 0)
             stats.setdefault("retrieval_candidates", 0)
             self.retrieval_recall = 1.0
-        self.incremental = True if incremental is None else bool(incremental)
+        self.incremental = bool(compiled)
         if self.incremental:
-            # One model for the scorer's lifetime, built on the pool graph,
-            # then the precompute step: one pool-only forward, cached
-            # forever.  The oracle path instead rebuilds a model on the
+            # One model built on the pool graph, then the precompute step:
+            # one pool-only forward that the compiled plan folds into its
+            # constants.  The oracle instead rebuilds a model on the
             # induced graph per request, so it has no use for either.
             self.model = artifact.build_model(self._graph)
             self.pool_hiddens = self.model.pool_hidden_states()
@@ -102,7 +103,7 @@ class InstanceScorer(RowScorer):
         """Correctness-oracle path: rebuild the (pool + queries) graph.
 
         Pays O(pool + E) per request — kept solely as the reference the
-        incremental path is tested against (``incremental=False``).
+        compiled plan is tested against (``compiled=False``).
         """
         batch = features.shape[0]
         n_pool = self._pool_x.shape[0]
@@ -125,7 +126,8 @@ class InstanceScorer(RowScorer):
         # their retrieved neighbors but leave every pool node's degree
         # (and hence the GNN's normalization over the pool) untouched.
         # Predictions are therefore exactly independent of which other
-        # queries share the batch — safe to micro-batch and to memoize.
+        # queries share the batch — safe to memoize per row, whatever
+        # batch the row arrived in.
         with self.stage("attach"):
             neighbors = self._pool_index.top_k(features, self._k)
             self._stats["attach_edges"] += int(neighbors.size)
@@ -134,12 +136,7 @@ class InstanceScorer(RowScorer):
         if self._compiled is not None:
             with self.stage("plan_execute"):
                 return self._compiled.run(features, neighbors)
-        with self.stage("propagate"):
-            if self.incremental:
-                return self.model.propagate_queries(
-                    features, neighbors, self.pool_hiddens
-                )
-            return self._forward_full(features, neighbors)
+        return self._forward_full(features, neighbors)
 
     def _observe_retrieval(
         self, features: np.ndarray, neighbors: np.ndarray
@@ -167,8 +164,6 @@ class InstanceScorer(RowScorer):
         self.retrieval_recall = hits / float(rows * self._k)
 
     def compile_plan(self):
-        if not self.incremental:
-            return None  # the full-graph oracle stays interpreted
         from repro.serving.compiled import compile_instance
 
         return compile_instance(self.model, self._graph, self.pool_hiddens, self._k)
@@ -226,10 +221,10 @@ class FittedInstance(FittedFormulation):
         return cls(graph, preprocessor, config)
 
     def make_scorer(
-        self, artifact, incremental, stats, index=None, nprobe=None
+        self, artifact, compiled, stats, index=None, nprobe=None
     ) -> InstanceScorer:
         return InstanceScorer(
-            artifact, self, incremental, stats, index=index, nprobe=nprobe
+            artifact, self, compiled, stats, index=index, nprobe=nprobe
         )
 
 

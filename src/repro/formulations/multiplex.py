@@ -10,15 +10,15 @@ Serving — value-node vocabularies with an UNK bucket
 The fitted formulation freezes, per relation, the **vocabulary** mapping
 each observed value to the pool rows possessing it (plus, for binned
 columns, the quantile edges that map raw numbers to values).  An unseen
-row's value is looked up in the frozen vocabulary and the query aggregates
-the cached pool-side conv messages of that group; a *never-seen* value
-falls into the UNK bucket — no pool group, the query's own transformed
-state flows through instead (exactly the one-row group a missing value
-forms in training) — so out-of-vocabulary values yield valid predictions
-without growing the vocabulary.  TabGNN trains on the same exact group
-means (GCN over a value clique with self loops *is* the group mean, and
-the clique is never built), so training-table rows served this way always
-reproduce their transductive logits to round-off.
+row's value is looked up in the frozen vocabulary and the query reads the
+mean of that group's pool-side conv messages without joining it; a
+*never-seen* value falls into the UNK bucket — no pool group, the query's
+own transformed state flows through instead (exactly the one-row group a
+missing value forms in training) — so out-of-vocabulary values yield
+valid predictions without growing the vocabulary.  TabGNN trains on the
+same exact group means (GCN over a value clique with self loops *is* the
+group mean, and the clique is never built), so training-table rows served
+this way always reproduce their transductive logits to round-off.
 """
 
 from __future__ import annotations
@@ -26,7 +26,6 @@ from __future__ import annotations
 from typing import Dict, List, Optional, Tuple
 
 import numpy as np
-import scipy.sparse as sp
 
 from repro import nn
 from repro.construction.intrinsic import ValueColumnSpec, value_column_specs
@@ -51,83 +50,79 @@ def _build_vocabularies(specs: List[ValueColumnSpec]) -> List[Vocabulary]:
 
 
 class MultiplexScorer(RowScorer):
-    """Vocabulary-lookup scoring against cached pool relation messages."""
+    """Vocabulary-lookup scoring against the pool's value-group means.
 
-    incremental = True
+    ``compiled=True`` caches the pool's relation messages for the compiled
+    plan, which gathers each query's precomputed group means;
+    ``compiled=False`` is the autograd oracle, TabGNN's forward over the
+    pool with the queries appended as receive-only rows
+    (:meth:`~repro.graph.MultiplexGraph.with_queries`).
+    """
 
     def __init__(
         self,
         artifact,
         fitted: "FittedMultiplex",
-        incremental: Optional[bool],
+        compiled: bool,
         stats: Dict[str, int],
     ) -> None:
-        if incremental is False:
-            raise ValueError(
-                "multiplex artifacts serve through frozen value-node "
-                "vocabularies; there is no full-graph oracle path "
-                "(incremental=False)"
-            )
         self._artifact = artifact
         self._fitted = fitted
         self._stats = stats
         stats.setdefault("unk_values", 0)
         stats.setdefault("attach_edges", 0)
-        self.model = artifact.build_model()
-        self.pool_messages = self.model.pool_message_states()
-        self._n_pool = fitted.graph.num_nodes
+        # Sorted vocabulary keys per relation: a query's group index is its
+        # code's position here, the row order of the plan's mean tables.
+        self._keys = [
+            np.array(sorted(vocab), dtype=np.int64) for vocab in fitted.vocabularies
+        ]
+        self._sizes = [
+            np.array([vocab[key].shape[0] for key in keys], dtype=np.int64)
+            for keys, vocab in zip(self._keys, fitted.vocabularies)
+        ]
+        self.incremental = bool(compiled)
+        if self.incremental:
+            self.model = artifact.build_model()
+            self.pool_messages = self.model.pool_message_states()
 
-    def _member_operator(
-        self, codes: np.ndarray, vocab: Vocabulary
-    ) -> sp.csr_matrix:
-        """(B, n_pool) row-mean operator over each query's value group."""
-        indptr = [0]
-        indices: List[np.ndarray] = []
-        data: List[np.ndarray] = []
-        total = 0
-        for code in codes:
-            members = vocab.get(int(code)) if code >= 0 else None
-            if code >= 0 and members is None:
-                self._stats["unk_values"] += 1
-            if members is not None:
-                indices.append(members)
-                data.append(np.full(members.shape[0], 1.0 / members.shape[0]))
-                total += members.shape[0]
-            indptr.append(total)
-        return sp.csr_matrix(
-            (
-                np.concatenate(data) if data else np.zeros(0),
-                np.concatenate(indices) if indices else np.zeros(0, np.int64),
-                np.asarray(indptr, dtype=np.int64),
-            ),
-            shape=(codes.shape[0], self._n_pool),
-        )
+    def _lookup(self, numerical: np.ndarray, categorical: np.ndarray) -> list:
+        """Per relation ``(codes, group, matched)`` for the query rows.
+
+        ``group`` is each code's index into the sorted vocabulary (0 where
+        ``matched`` is false).  A non-missing code the vocabulary lacks
+        counts one ``unk_values``; a matched group adds its pool members to
+        ``attach_edges``.
+        """
+        lookups = []
+        unk = attached = 0
+        for spec, keys, sizes in zip(self._fitted.specs, self._keys, self._sizes):
+            codes = spec.encode(numerical, categorical)
+            group = np.searchsorted(keys, codes)
+            matched = group < keys.size
+            matched[matched] = keys[group[matched]] == codes[matched]
+            group[~matched] = 0
+            unk += int(np.count_nonzero((codes >= 0) & ~matched))
+            attached += int(sizes[group[matched]].sum())
+            lookups.append((codes, group, matched))
+        self._stats["unk_values"] += unk
+        self._stats["attach_edges"] += attached
+        return lookups
 
     def score(self, numerical: np.ndarray, categorical: np.ndarray) -> np.ndarray:
         with self.stage("encode"):
             features = self._artifact.preprocessor.transform(numerical, categorical)
-        if self._compiled is not None:
-            # Compiled path skips the sparse-operator build entirely: the
-            # executor resolves raw value codes against its vocabulary
-            # lookups (keeping unk/attach accounting identical) and feeds
-            # the plan precomputed group means.
-            with self.stage("attach"):
-                codes = [
-                    spec.encode(numerical, categorical)
-                    for spec in self._fitted.specs
-                ]
-            with self.stage("plan_execute"):
-                return self._compiled.run(features, codes, self._stats)
         with self.stage("attach"):
-            operators = [
-                self._member_operator(spec.encode(numerical, categorical), vocab)
-                for spec, vocab in zip(self._fitted.specs, self._fitted.vocabularies)
-            ]
-            self._stats["attach_edges"] += int(sum(op.nnz for op in operators))
-        with self.stage("propagate"):
-            return self.model.propagate_queries(
-                features, operators, self.pool_messages
-            )
+            lookups = self._lookup(numerical, categorical)
+        if self._compiled is not None:
+            with self.stage("plan_execute"):
+                return self._compiled.run(
+                    features, [(group, matched) for _, group, matched in lookups]
+                )
+        graph = self._fitted.graph.with_queries(
+            features, [codes for codes, _, _ in lookups]
+        )
+        model = self._artifact.build_model(graph=graph)
+        return model().data[self._fitted.graph.num_nodes:]
 
     def compile_plan(self):
         from repro.serving.compiled import compile_multiplex
@@ -219,8 +214,8 @@ class FittedMultiplex(FittedFormulation):
             graph.add_value_layer(str(column["name"]), codes)
         return cls(graph, specs, vocabularies, preprocessor, config)
 
-    def make_scorer(self, artifact, incremental, stats) -> MultiplexScorer:
-        return MultiplexScorer(artifact, self, incremental, stats)
+    def make_scorer(self, artifact, compiled, stats) -> MultiplexScorer:
+        return MultiplexScorer(artifact, self, compiled, stats)
 
 
 class MultiplexFormulation(Formulation):

@@ -116,6 +116,39 @@ class HeteroGraph:
             if rev_type not in self.edge_indexes:
                 self.edge_indexes[rev_type] = self.edge_indexes[edge_type][::-1].copy()
 
+    def with_queries(
+        self, x: np.ndarray, sources: Dict[str, np.ndarray]
+    ) -> "HeteroGraph":
+        """Copy with B receive-only target-type nodes appended.
+
+        ``x`` is the ``(B, d)`` feature block of the new target nodes and
+        ``sources[src_type]`` each new node's one source node of that type
+        (``-1``: no edge).  The new nodes get only ``src_type → target``
+        edges, so no message leaves them and every other node's state is
+        exactly this graph's.  This is the serving oracle for hetero
+        artifacts, the typed analogue of
+        :meth:`~repro.graph.Hypergraph.with_hyperedges`.
+        """
+        target = self.target_type
+        x = np.asarray(x, dtype=np.float64)
+        base = self.node_counts[target]
+        counts = dict(self.node_counts)
+        counts[target] = base + x.shape[0]
+        graph = HeteroGraph(counts)
+        for edge_type, edge_index in self.edge_indexes.items():
+            graph.add_edges(edge_type, edge_index)
+            src_type, _, dst_type = edge_type
+            if dst_type == target and src_type != target:
+                ids = np.asarray(sources[src_type], dtype=np.int64)
+                rows = np.flatnonzero(ids >= 0)
+                graph.add_edges(edge_type, np.stack([ids[rows], base + rows]))
+        for node_type, features in self.node_features.items():
+            if node_type == target:
+                features = np.concatenate([features, x])
+            graph.set_features(node_type, features)
+        graph.target_type = target
+        return graph
+
     # ------------------------------------------------------------------
     def state(self) -> Tuple[Dict[str, np.ndarray], Dict[str, object]]:
         """(arrays, json-safe meta) pair for artifact serialization.

@@ -17,9 +17,9 @@ import scipy.sparse as sp
 from repro.graph import utils
 from repro.tensor import Tensor, ops
 
-#: Edge-view flavors understood by :meth:`Graph.edge_view` /
-#: :meth:`Graph.attach_view`.  Each conv layer declares the flavor it
-#: consumes via its ``view_kind`` class attribute.
+#: Edge-view flavors understood by :meth:`Graph.edge_view`.  Each conv
+#: layer declares the flavor it consumes via its ``view_kind`` class
+#: attribute.
 VIEW_KINDS = ("sum", "mean", "mean_loops", "gcn", "attention")
 
 
@@ -36,15 +36,15 @@ class EdgeView:
     :attr:`num_nodes` destination buckets, and aggregate through the
     per-head sparse structure :meth:`head_edges` memoizes on the view.
 
-    Views come from two places, both cheap to reuse:
+    Views come from two places:
 
     * :meth:`Graph.edge_view` — derived once per normalization flavor from
       a frozen graph and memoized alongside the adjacency-operator cache
       (self loops, where the flavor needs them, are baked in here — no
       per-forward ``tile``/``concat``);
-    * :meth:`Graph.attach_view` — a tiny bipartite view linking B query
-      rows to their k retrieved pool neighbors, built per serving request
-      in O(B·k).
+    * direct construction from ``src``/``dst`` arrays — e.g.
+      :meth:`~repro.graph.Hypergraph.attach_view`'s bipartite
+      node→query-hyperedge view, whose destinations are not its sources.
     """
 
     __slots__ = ("src", "dst", "num_nodes", "weight", "_matrix", "_head_edges")
@@ -99,9 +99,9 @@ class EdgeView:
         """Weighted-sum aggregation: ``out[d] = Σ_{e: dst_e = d} w_e · h[src_e]``.
 
         Differentiable either way: views derived from a frozen graph carry
-        a memoized sparse operator (one ``spmm``); per-request attach views
-        run the gather → scale → segment-sum primitives directly, keeping
-        the cost proportional to the number of edges in the view.
+        a memoized sparse operator (one ``spmm``); directly built views
+        run the gather → scale → segment-sum primitives, keeping the cost
+        proportional to the number of edges in the view.
         """
         if self._matrix is not None:
             return ops.spmm(self._matrix, h)
@@ -340,61 +340,6 @@ class Graph:
             degrees = np.asarray(self.adjacency().sum(axis=1)).reshape(-1) + 1.0
             self._operator_cache[key] = 1.0 / np.sqrt(degrees)
         return self._operator_cache[key]
-
-    def attach_view(self, kind: str, neighbor_idx: np.ndarray) -> EdgeView:
-        """Bipartite attach view linking B query rows to this (pool) graph.
-
-        ``neighbor_idx`` is the ``(B, k)`` global pool indices of each
-        query's retrieved neighbors.  The view is expressed over a *local*
-        node table of ``B·k + B`` rows whose convention the caller must
-        follow when assembling node states: row ``q·k + j`` holds pool node
-        ``neighbor_idx[q, j]``'s state and the last ``B`` rows hold the
-        query states.  Edges are directed pool→query (one per retrieved
-        neighbor) plus, for the flavors that use self loops, one
-        query→query loop; pool-local rows have no in-edges, so their
-        outputs are vacuous and ignored.
-
-        Per-edge weights replicate exactly what :meth:`edge_view` would
-        produce on the induced (pool + queries) graph: directed attach
-        edges leave every pool degree untouched, so a query's in-degree is
-        ``k`` (``k + 1`` with its loop) and the pool-side GCN terms come
-        from the memoized pool degrees.  Building the view is O(B·k) —
-        independent of pool size.
-        """
-        neighbor_idx = np.asarray(neighbor_idx, dtype=np.int64)
-        if neighbor_idx.ndim != 2 or neighbor_idx.size == 0:
-            raise ValueError("neighbor_idx must be a non-empty (B, k) array")
-        n_queries, k = neighbor_idx.shape
-        base = n_queries * k
-        src = np.arange(base, dtype=np.int64)
-        dst = base + np.repeat(np.arange(n_queries, dtype=np.int64), k)
-        loops = base + np.arange(n_queries, dtype=np.int64)
-        num_local = base + n_queries
-        if kind == "gcn":
-            inv_sqrt_q = 1.0 / np.sqrt(k + 1.0)
-            attach_w = self._gcn_inv_sqrt_degrees()[neighbor_idx.reshape(-1)] * inv_sqrt_q
-            return EdgeView(
-                np.concatenate([src, loops]),
-                np.concatenate([dst, loops]),
-                num_local,
-                weight=np.concatenate([attach_w, np.full(n_queries, inv_sqrt_q**2)]),
-            )
-        if kind == "mean":
-            return EdgeView(src, dst, num_local, weight=np.full(base, 1.0 / k))
-        if kind == "mean_loops":
-            return EdgeView(
-                np.concatenate([src, loops]),
-                np.concatenate([dst, loops]),
-                num_local,
-                weight=np.full(base + n_queries, 1.0 / (k + 1.0)),
-            )
-        if kind == "sum":
-            return EdgeView(src, dst, num_local)
-        if kind == "attention":
-            return EdgeView(
-                np.concatenate([src, loops]), np.concatenate([dst, loops]), num_local
-            )
-        raise ValueError(f"unknown edge-view kind {kind!r}; choose from {VIEW_KINDS}")
 
     # ------------------------------------------------------------------
     # conversions

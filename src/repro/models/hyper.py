@@ -54,12 +54,8 @@ class HypergraphClassifier(nn.Module):
         return self.network.embed()
 
     def pool_node_states(self) -> np.ndarray:
-        """Frozen value-node states for incremental serving (see network)."""
+        """Frozen value-node states for compiled serving (see network)."""
         return self.network.pool_node_states()
-
-    def propagate_queries(self, attach_view, node_states: np.ndarray) -> np.ndarray:
-        """Logits for query rows attached as new hyperedges (see network)."""
-        return self.network.propagate_queries(attach_view, node_states)
 
     def loss(self, y: np.ndarray, mask: Optional[np.ndarray] = None) -> Tensor:
         return nn.cross_entropy(self.forward(), y, mask=mask)

@@ -18,8 +18,6 @@ relation plus the raw-feature projection — is a sparse product
 
 from __future__ import annotations
 
-from typing import Optional, Union
-
 import numpy as np
 import scipy.sparse as sp
 
@@ -62,7 +60,10 @@ class TabGNN(nn.Module):
         self.x = sp.csr_matrix(graph.x)
         in_dim = graph.x.shape[1]
 
-        self._groups = [group_mean_operators(c) for c in graph.value_layers.values()]
+        self._groups = [
+            group_mean_operators(codes, graph.receive_only)
+            for codes in graph.value_layers.values()
+        ]
         self.relation_encoders = nn.ModuleList()
         for _ in self._groups:
             convs = nn.ModuleList()
@@ -96,10 +97,10 @@ class TabGNN(nn.Module):
         ]
         return ops.softmax(ops.concat(scores, axis=1), axis=1)
 
-    def _fuse(self, embeddings: list[Tensor], x: Union[Tensor, sp.spmatrix]) -> Tensor:
-        """Fusion + raw-feature projection shared by ``embed`` and the
-        serving-time query path: attention (or mean) over relation
-        embeddings, concatenated with the projected raw features."""
+    def embed(self) -> Tensor:
+        """Fused relation embeddings (attention or mean) concatenated with
+        the projected raw features."""
+        embeddings = self.relation_embeddings()
         if self.fusion == "attention":
             alpha = self.relation_attention(embeddings)  # (n, R)
             fused = None
@@ -111,11 +112,8 @@ class TabGNN(nn.Module):
             for h in embeddings[1:]:
                 fused = ops.add(fused, h)
             fused = ops.mul(Tensor(1.0 / len(embeddings)), fused)
-        self_h = ops.relu(self.self_proj(x))
-        return ops.concat([fused, self_h], axis=1)
-
-    def embed(self) -> Tensor:
-        combined = self._fuse(self.relation_embeddings(), self.x)
+        self_h = ops.relu(self.self_proj(self.x))
+        combined = ops.concat([fused, self_h], axis=1)
         if self.dropout is not None:
             combined = self.dropout(combined)
         return combined
@@ -123,7 +121,7 @@ class TabGNN(nn.Module):
     def forward(self) -> Tensor:
         return self.head(self.embed())
 
-    # -- incremental query scoring (serving) ---------------------------
+    # -- serving ---------------------------------------------------------
     def pool_message_states(self) -> list[list[np.ndarray]]:
         """Per relation, per conv layer: the pool's *transformed* states.
 
@@ -144,44 +142,3 @@ class TabGNN(nn.Module):
                     h = ops.relu(h)
             states.append(entries)
         return states
-
-    def propagate_queries(
-        self,
-        features: np.ndarray,
-        member_ops: list,
-        pool_messages: list[list[np.ndarray]],
-    ) -> np.ndarray:
-        """Logits ``(B, out_dim)`` for query rows attached by value lookup.
-
-        ``member_ops[r]`` is a ``(B, n_pool)`` sparse row-mean operator:
-        row ``q`` holds ``1/|g|`` over the pool members sharing query
-        ``q``'s value in relation ``r`` (an all-zero row when the value is
-        unseen or missing).  Queries with a group aggregate the cached pool
-        messages of that group; queries without one fall back to their own
-        transformed state — exactly the one-row group a missing value forms
-        in training.  A training row's query therefore reproduces its
-        transductive logits to round-off: training aggregates the same
-        group means.
-        """
-        features = np.asarray(features, dtype=np.float64)
-        if features.ndim != 2 or features.shape[1] != self.x.shape[1]:
-            raise ValueError(
-                f"features must be (B, {self.x.shape[1]}), got {features.shape}"
-            )
-        if len(member_ops) != len(self.relation_encoders):
-            raise ValueError(
-                f"expected {len(self.relation_encoders)} relation operators, "
-                f"got {len(member_ops)}"
-            )
-        embeddings: list[Tensor] = []
-        for convs, op, messages in zip(
-            self.relation_encoders, member_ops, pool_messages
-        ):
-            has_group = np.asarray(op.sum(axis=1)).reshape(-1) > 0.5
-            h = features
-            for i, conv in enumerate(convs):
-                own = conv.linear(Tensor(h)).data
-                combined = np.where(has_group[:, None], op @ messages[i], own)
-                h = np.maximum(combined, 0.0) if i < len(convs) - 1 else combined
-            embeddings.append(Tensor(h))
-        return self.head(self._fuse(embeddings, Tensor(features))).data

@@ -17,7 +17,7 @@ A dependency-free observability toolkit (stdlib + numpy only):
   one fleet-wide ``/metrics`` scrape.
 
 Wired through the hot path by :mod:`repro.serving` (``GET /metrics``,
-engine/batcher instrumentation, drift gauges) and available to training
+engine instrumentation, drift gauges) and available to training
 via ``Trainer(..., registry=...)`` / ``run_pipeline(..., registry=...)``.
 """
 

@@ -358,8 +358,8 @@ class MetricsRegistry:
     """Thread-safe home for every metric a process exposes.
 
     One registry per deployment unit: :class:`repro.serving.PredictionServer`
-    creates one and shares it with its engine and batcher so ``/metrics``
-    is a single consistent scrape.  Families are get-or-create — asking
+    creates one and shares it with its engine so ``/metrics`` is a single
+    consistent scrape.  Families are get-or-create — asking
     for an existing name with a matching type returns the same family, a
     mismatched type raises.
     """

@@ -12,8 +12,9 @@ request-serving:
 * :mod:`repro.serving.engine` — :class:`InferenceEngine`, inductive scoring
   of unseen rows through the scorer the artifact's fitted formulation
   provides, with a bounded LRU prediction cache.  Instance graphs link
-  rows into the frozen pool via retrieval (survey Sec. 4.2.4) and
-  propagate only the query rows — O(B·k·d), independent of pool size;
+  rows into the frozen pool via retrieval (survey Sec. 4.2.4) and a
+  compiled plan computes only the query rows — O(B·k·d), independent of
+  pool size (``compiled=False`` builds the autograd oracle instead);
   multiplex/hetero graphs attach rows to frozen value nodes by vocabulary
   lookup (never-seen values hit the UNK bucket);
 * :mod:`repro.serving.batching` — :class:`MicroBatcher`, a library class

@@ -36,9 +36,10 @@ preallocated by the plan. A swap-in backend (e.g. a GPU runtime) replaces
 ``tabgnn_fuse``     per-instance attention fusion over relation embeddings
 ================== =====================================================
 
-Compilation is best-effort: each ``compile_*`` returns ``None`` for any
-configuration its lowering does not cover, and callers keep the
-interpreted autograd path — plug-in formulations work unchanged.
+Each ``compile_*`` raises :class:`UnsupportedPlanError` for a
+configuration its lowering does not cover; there is no interpreted
+fallback.  Plug-in formulations that define no compiled path serve
+through their own scorer.
 """
 
 from .kernels import KERNELS

@@ -1,9 +1,12 @@
 """Lower the instance-network query path to a flat kernel plan.
 
 ``compile_instance`` walks a model-zoo network's
-:meth:`~repro.gnn.networks._NodeNetwork.serve_plan` — the same
-local/propagate step sequence :meth:`propagate_queries` replays — and
-emits one :class:`~repro.serving.compiled.plan.InferencePlan` per scorer.
+:meth:`~repro.gnn.networks._NodeNetwork.serve_plan` — the eval-time
+local/propagate step sequence its ``forward`` runs — and emits one
+:class:`~repro.serving.compiled.plan.InferencePlan` per scorer.  Query
+rows attach to the pool by directed pool→query edges (each query's k
+retrieved neighbors plus a self loop), so a query's in-degree is ``k``
+(``k + 1`` with its loop) and every pool degree is untouched.
 The heavy lifting happens at compile time: every request-invariant
 pool-side quantity is pushed through the layer weights once —
 
@@ -22,9 +25,7 @@ pool-side quantity is pushed through the layer weights once —
 
 Anything the walker does not recognize — an unknown conv family, a GAT
 layer with edge features, a custom local step — raises
-:class:`~repro.serving.compiled.plan.UnsupportedPlanError`, and
-``compile_instance`` returns ``None`` so the caller keeps the interpreted
-autograd path (plug-in networks keep working unchanged).
+:class:`~repro.serving.compiled.plan.UnsupportedPlanError`.
 """
 
 from __future__ import annotations
@@ -213,10 +214,9 @@ def _lower_gated(builder, conv, pool_hidden, k, h, width):
 class InstanceExecutor:
     """Executes the compiled plan for an instance-graph scorer.
 
-    ``run`` takes exactly what the interpreted path hands to
-    ``propagate_queries``: the encoded query features and the ``(B, k)``
-    retrieved neighbor indices.  The returned array is the plan-owned
-    output buffer — stable identity across same-size requests.
+    ``run`` takes the encoded query features and the ``(B, k)`` retrieved
+    neighbor indices.  The returned array is the plan-owned output buffer
+    — stable identity across same-size requests.
     """
 
     def __init__(self, plan: InferencePlan, k: int, in_dim: int) -> None:
@@ -242,56 +242,53 @@ class InstanceExecutor:
 def compile_instance(model, graph, pool_hiddens: Sequence[np.ndarray], k: int):
     """Lower a model-zoo network to an :class:`InstanceExecutor`.
 
-    Returns ``None`` when the network contains a step the lowerings do not
-    cover — the scorer then keeps the interpreted path.
+    Raises :class:`UnsupportedPlanError` when the network has no
+    ``serve_plan`` or contains a step the lowerings do not cover.
     """
     serve_plan = getattr(model, "serve_plan", None)
     if serve_plan is None:
-        return None
-    try:
-        steps = serve_plan()
-        builder = PlanBuilder()
-        builder.feed("x")
-        builder.feed("nbr")
-        builder.const(
-            "gcn_attach_w",
-            graph._gcn_inv_sqrt_degrees() / math.sqrt(k + 1.0),
+        raise UnsupportedPlanError(
+            f"{type(model).__name__} exposes no serve_plan to lower"
         )
-        h = "x"
-        width = int(model.x.shape[1])
-        prop_idx = 0
-        for step in steps:
-            module = getattr(step, "module", None)
-            if module is not None:
-                pool_hidden = np.asarray(pool_hiddens[prop_idx], dtype=np.float64)
-                prop_idx += 1
-                if isinstance(module, GCNConv):
-                    h, width = _lower_gcn(builder, module, pool_hidden, k, h)
-                elif isinstance(module, SAGEConv):
-                    h, width = _lower_sage(builder, module, pool_hidden, k, h, width)
-                elif isinstance(module, GINConv):
-                    h, width = _lower_gin(builder, module, pool_hidden, h, width)
-                elif isinstance(module, GATConv):
-                    h, width = _lower_gat(builder, module, pool_hidden, k, h)
-                elif isinstance(module, GatedGraphConv):
-                    h, width = _lower_gated(builder, module, pool_hidden, k, h, width)
-                else:
-                    raise UnsupportedPlanError(
-                        f"unsupported conv family: {type(module).__name__}"
-                    )
-                continue
-            fn = getattr(step, "fn", None)
-            if fn is None:
-                raise UnsupportedPlanError(f"unrecognized plan step: {step!r}")
-            if isinstance(fn, nn.Linear):
-                h, width = lower_linear(builder, fn, h)
-            elif isinstance(fn, nn.MLP):
-                h, width = lower_mlp(builder, fn, h, width)
+    builder = PlanBuilder()
+    builder.feed("x")
+    builder.feed("nbr")
+    builder.const(
+        "gcn_attach_w",
+        graph._gcn_inv_sqrt_degrees() / math.sqrt(k + 1.0),
+    )
+    h = "x"
+    width = int(model.x.shape[1])
+    prop_idx = 0
+    for step in serve_plan():
+        module = getattr(step, "module", None)
+        if module is not None:
+            pool_hidden = np.asarray(pool_hiddens[prop_idx], dtype=np.float64)
+            prop_idx += 1
+            if isinstance(module, GCNConv):
+                h, width = _lower_gcn(builder, module, pool_hidden, k, h)
+            elif isinstance(module, SAGEConv):
+                h, width = _lower_sage(builder, module, pool_hidden, k, h, width)
+            elif isinstance(module, GINConv):
+                h, width = _lower_gin(builder, module, pool_hidden, h, width)
+            elif isinstance(module, GATConv):
+                h, width = _lower_gat(builder, module, pool_hidden, k, h)
+            elif isinstance(module, GatedGraphConv):
+                h, width = _lower_gated(builder, module, pool_hidden, k, h, width)
             else:
-                h = lower_activation_fn(builder, fn, h, width)
-        if h == "x":
-            raise UnsupportedPlanError("plan produced no output buffer")
-        plan = builder.build(h)
-    except UnsupportedPlanError:
-        return None
-    return InstanceExecutor(plan, k, int(model.x.shape[1]))
+                raise UnsupportedPlanError(
+                    f"unsupported conv family: {type(module).__name__}"
+                )
+            continue
+        fn = getattr(step, "fn", None)
+        if fn is None:
+            raise UnsupportedPlanError(f"unrecognized plan step: {step!r}")
+        if isinstance(fn, nn.Linear):
+            h, width = lower_linear(builder, fn, h)
+        elif isinstance(fn, nn.MLP):
+            h, width = lower_mlp(builder, fn, h, width)
+        else:
+            h = lower_activation_fn(builder, fn, h, width)
+    if h == "x":
+        raise UnsupportedPlanError("plan produced no output buffer")
+    return InstanceExecutor(builder.build(h), k, int(model.x.shape[1]))

@@ -30,9 +30,8 @@ from .kernels import KERNELS
 class UnsupportedPlanError(RuntimeError):
     """A scorer's query path contains a step the lowerings cannot emit.
 
-    Raised during compilation only — callers fall back to the interpreted
-    (autograd) path, so plug-in formulations and custom layers keep
-    working unchanged.
+    Raised during compilation only; the engine refuses to start with a
+    message pointing at ``compiled=False`` (the autograd oracle).
     """
 
 

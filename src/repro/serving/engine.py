@@ -7,11 +7,12 @@ provides (:meth:`~repro.formulations.FittedFormulation.make_scorer`):
 
 * **instance** — unseen rows are preprocessed with the artifact's frozen
   statistics, linked into the frozen training pool via retrieval
-  (PET-style, survey Sec. 4.2.4), and propagated incrementally: the pool's
-  per-layer activations are cached once, each request computes only the
-  B query rows — O(B·k·d), independent of pool size, for every network in
-  the zoo.  The full-graph rebuild is kept purely as a correctness oracle
-  (``incremental=False``); the two paths agree to floating-point round-off.
+  (PET-style, survey Sec. 4.2.4), and scored by the compiled plan: the
+  pool's per-layer activations are folded in once, each request computes
+  only the B query rows — O(B·k·d), independent of pool size, for every
+  network in the zoo.  The full-graph rebuild is kept purely as a
+  correctness oracle (``compiled=False``); the two paths agree to
+  floating-point round-off.
 * **feature** — the feature-graph model is row-wise by construction; rows
   are tokenized with the frozen field statistics and scored directly.
 * **multiplex / hetero** — unseen rows attach to *frozen value nodes* by
@@ -26,7 +27,11 @@ provides (:meth:`~repro.formulations.FittedFormulation.make_scorer`):
   once, and a query is the degree-normalized mean of its member nodes'
   cached states — O(B·n_features·d), independent of the training-table
   size, with the attached full-graph forward kept as the parity oracle
-  (``incremental=False``).
+  (``compiled=False``).
+
+Every formulation has exactly one fast path, the compiled plan, and one
+oracle: the training model's autograd forward over the frozen pool with
+the query rows appended as receive-only nodes (``compiled=False``).
 
 The engine itself is formulation-blind: it validates rows, handles the
 LRU prediction cache and stats, and softmaxes whatever logits the scorer
@@ -38,8 +43,8 @@ bytes, so hot rows (the head of a production traffic distribution) skip
 the forward pass entirely.  Cached probability arrays are marked
 read-only before they are stored, so a caller mutating a returned array
 cannot silently corrupt the cache.  Batch scoring deduplicates rows
-*within* the batch as well, which is what makes the micro-batcher's
-coalescing worthwhile under skewed traffic.
+*within* the batch as well, so a skewed batch pays one forward row per
+distinct row.
 """
 
 from __future__ import annotations
@@ -84,17 +89,10 @@ class InferenceEngine:
     cache_size:
         Maximum number of distinct rows memoized in the LRU prediction
         cache; ``0`` disables caching.
-    incremental:
-        ``None`` (default) lets the formulation pick its best path — the
-        cached-pool incremental path everywhere one exists.  ``False``
-        forces the instance formulation's full-graph oracle; explicit
-        values a formulation cannot honor raise ``ValueError`` (feature
-        artifacts have no pool to propagate from; multiplex/hetero have no
-        full-graph oracle).
     registry:
         A shared :class:`~repro.obs.MetricsRegistry` to report into (the
         prediction server passes its own so one ``/metrics`` scrape covers
-        server, engine and batcher); ``None`` creates a private one.
+        server and engine); ``None`` creates a private one.
     observability:
         ``False`` strips every metric/span and no registry exists.  The
         serving bench uses this to measure instrumentation overhead (kept
@@ -108,18 +106,22 @@ class InferenceEngine:
         the request-latency histogram stays exact because it never
         samples.
     compiled:
-        ``True`` (default) lowers the scorer's query path to a flat
-        compiled plan (:mod:`repro.serving.compiled`) at construction:
+        ``True`` (default) serves the compiled plan
+        (:mod:`repro.serving.compiled`), lowered once at construction:
         pure-numpy kernels over preallocated reused buffers, no autograd
-        Tensor wrappers or backward closures on the hot path, pool-side
-        work folded into compile-time constants.  Best-effort — scorers
-        whose path cannot be lowered (plug-in formulations, oracle modes)
-        silently keep the interpreted autograd path.  ``self.compiled``
-        reports which path serves; ``self.compile_ms`` the one-time
-        lowering cost.  Per-request complexity is unchanged (the
-        incremental paths were already O(B·k·d) / O(B·columns·d)); the
-        constant factor drops because each request now executes only the
-        query-dependent kernels.
+        on the hot path, pool-side work folded into compile-time
+        constants, so a request costs O(B·k·d) / O(B·columns·d).  A
+        built-in formulation whose model does not lower raises
+        :class:`~repro.serving.compiled.UnsupportedPlanError` here rather
+        than serve slower; plug-in formulations without a compiled path
+        serve through their own scorer.  ``False`` builds the
+        formulation's autograd oracle instead: the training model's
+        forward over the frozen pool with the query rows appended as
+        receive-only nodes, O(pool) per request — the reference the
+        compiled plan is tested against.  ``self.compiled`` reports
+        whether the plan serves, ``self.incremental`` whether the scorer
+        computes only query rows against cached pool state, and
+        ``self.compile_ms`` the one-time lowering cost.
     index / nprobe:
         Retrieval-index selection for formulations that attach queries by
         pool retrieval (the instance formulation): ``index="exact"`` keeps
@@ -142,20 +144,18 @@ class InferenceEngine:
     Cache hits return the stored array itself (no copy, no forward pass);
     cached arrays are marked read-only so accidental mutation raises
     instead of corrupting the cache.  The engine is thread-safe: a lock
-    serializes scoring, which matches the micro-batcher's single consumer
-    model.  All ``stats`` mutations happen while that lock is held, so
-    :meth:`snapshot` (which takes it) returns a view in which related
-    counters are consistent — e.g. ``cache_hits + forward_rows`` always
-    accounts for every single-row predict.
+    serializes scoring.  All ``stats`` mutations happen while that lock is
+    held, so :meth:`snapshot` (which takes it) returns a view in which
+    related counters are consistent — e.g. ``cache_hits + forward_rows``
+    always accounts for every single-row predict.
 
     Observability (when enabled): end-to-end latency lands in the
     ``repro_request_duration_seconds{formulation,endpoint}`` histogram
     (every request); sampled requests are traced through the
-    ``cache → score(encode → attach → plan_execute|propagate) → head``
-    stages (``repro_stage_duration_seconds{formulation,stage}``) —
-    compiled execution reports the ``plan_execute`` stage where the
-    interpreted path reports ``propagate``.  ``stats``
-    stays a plain dict — mutated only under the engine lock, so
+    ``cache → score(encode → attach → plan_execute) → head`` stages
+    (``repro_stage_duration_seconds{formulation,stage}``); an oracle
+    engine's forward runs inside ``score`` with no stage of its own.
+    ``stats`` stays a plain dict — mutated only under the engine lock, so
     increments cost the same as before instrumentation — and is exported
     to the registry through collection-time callbacks
     (``repro_engine_<key>_total``); drift gauges — UNK-hit rate, cache
@@ -166,7 +166,6 @@ class InferenceEngine:
         self,
         artifact: ModelArtifact,
         cache_size: int = 256,
-        incremental: Optional[bool] = None,
         registry: Optional[MetricsRegistry] = None,
         observability: bool = True,
         trace_every: int = 32,
@@ -205,9 +204,7 @@ class InferenceEngine:
                     "from a pool; index/nprobe selection does not apply"
                 )
             scorer_kwargs = {"index": index, "nprobe": nprobe}
-        self._scorer = make_scorer(
-            artifact, incremental, self.stats, **scorer_kwargs
-        )
+        self._scorer = make_scorer(artifact, compiled, self.stats, **scorer_kwargs)
         self.incremental = bool(self._scorer.incremental)
         #: live retrieval-index backend ("exact"/"ivf"), or None for
         #: formulations that do not retrieve from a pool.
@@ -217,8 +214,19 @@ class InferenceEngine:
         self.compiled = False
         self.compile_ms = 0.0
         if compiled:
+            # Imported here: the front door of a forked fleet imports this
+            # module but never lowers a plan.
+            from repro.serving.compiled import UnsupportedPlanError
+
             started = time.perf_counter()
-            self.compiled = bool(self._scorer.enable_compiled())
+            try:
+                self.compiled = bool(self._scorer.enable_compiled())
+            except UnsupportedPlanError as exc:
+                raise UnsupportedPlanError(
+                    f"the {artifact.formulation!r} query path does not lower "
+                    f"to a compiled plan ({exc}); InferenceEngine(..., "
+                    "compiled=False) serves its autograd oracle"
+                ) from exc
             self.compile_ms = (time.perf_counter() - started) * 1000.0
         if self._tracer is not None:
             self._scorer.bind_tracer(self._tracer)
@@ -291,7 +299,7 @@ class InferenceEngine:
         ).labels(**labels).set_function(lambda: len(self._cache))
         self.registry.gauge(
             "repro_engine_compiled",
-            "1 when the compiled plan serves the hot path, 0 interpreted.",
+            "1 when the compiled plan serves the hot path, 0 otherwise.",
             labelnames=("formulation",),
         ).labels(**labels).set_function(
             lambda: 1.0 if self.compiled else 0.0

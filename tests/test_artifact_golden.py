@@ -60,7 +60,7 @@ class TestGoldenLoads:
         rows = (expected["v2_numerical"], expected["v2_categorical"])
         inc = InferenceEngine(artifact, cache_size=0)
         assert inc.incremental
-        oracle = InferenceEngine(artifact, cache_size=0, incremental=False)
+        oracle = InferenceEngine(artifact, cache_size=0, compiled=False)
         np.testing.assert_allclose(
             inc.predict_batch(*rows), oracle.predict_batch(*rows), atol=1e-8
         )

@@ -1,11 +1,12 @@
-"""Compiled inference plans: lowering coverage, semantics, and fallbacks.
+"""Compiled inference plans: lowering coverage, semantics, path selection.
 
 Parity at the engine level is fuzzed per registry cell in
 ``test_formulation_matrix.py``; this module tests the plan machinery
 itself — the step vocabulary, buffer lifecycle, per-network lowering of
-every conv substrate (untrained artifacts: lowering correctness does not
-depend on the weights), and the best-effort contract (paths that cannot
-be lowered fall back to the interpreted scorer, never error).
+every conv substrate against the ``compiled=False`` oracle (untrained
+artifacts: lowering correctness does not depend on the weights), and path
+selection (a built-in model that cannot lower refuses to start instead of
+serving slower; plug-in scorers serve through their own ``score``).
 """
 
 import numpy as np
@@ -114,48 +115,58 @@ class TestPlanMachinery:
 # per-network lowering parity (untrained weights, engine level)
 # ---------------------------------------------------------------------------
 @pytest.mark.parametrize("network", NETWORKS)
-def test_network_lowering_matches_interpreted(network):
+def test_network_lowering_matches_oracle(network):
     artifact = _instance_artifact(network)
     rows = _rows(artifact)
     compiled = InferenceEngine(artifact, cache_size=0)
-    interpreted = InferenceEngine(artifact, cache_size=0, compiled=False)
-    assert compiled.compiled and not interpreted.compiled
+    oracle = InferenceEngine(artifact, cache_size=0, compiled=False)
+    assert compiled.compiled and not oracle.compiled
     assert compiled.compile_ms > 0.0
     np.testing.assert_allclose(
-        compiled.predict_batch(rows), interpreted.predict_batch(rows),
+        compiled.predict_batch(rows), oracle.predict_batch(rows),
         atol=1e-8,
     )
     # Attach accounting identical: the plan consumes the same neighbors.
-    assert compiled.stats["attach_edges"] == interpreted.stats["attach_edges"]
+    assert compiled.stats["attach_edges"] == oracle.stats["attach_edges"]
 
 
 # ---------------------------------------------------------------------------
-# fallback contract
+# path selection: compiled plan, oracle, plug-in scorers
 # ---------------------------------------------------------------------------
-class TestFallbacks:
-    def test_full_graph_oracle_stays_interpreted(self):
-        engine = InferenceEngine(
-            _instance_artifact("gcn"), cache_size=0, incremental=False
-        )
-        assert not engine.compiled
-        assert engine.compile_ms >= 0.0
-
-    def test_compiled_false_opts_out(self):
+class TestPathSelection:
+    def test_compiled_false_builds_the_oracle(self):
         engine = InferenceEngine(
             _instance_artifact("gcn"), cache_size=0, compiled=False
         )
-        assert not engine.compiled
+        assert not engine.compiled and not engine.incremental
+        assert engine.compile_ms == 0.0
         assert engine._scorer._compiled is None
 
-    def test_unloweable_model_falls_back_to_interpreted(self):
-        # compile_instance is best-effort: a model without a serve_plan
-        # (e.g. a plug-in architecture) yields None, not an error.
+    def test_unlowerable_model_raises(self):
         class Opaque:
             pass
 
-        assert compile_instance(Opaque(), None, [], 5) is None
+        with pytest.raises(UnsupportedPlanError, match="serve_plan"):
+            compile_instance(Opaque(), None, [], 5)
 
-    def test_default_scorer_hook_keeps_plugins_interpreted(self):
+    def test_builtin_scorer_that_cannot_lower_refuses_to_start(
+        self, monkeypatch
+    ):
+        # No silent slow path: the default engine raises, naming the
+        # oracle switch, and compiled=False still builds.
+        from repro.serving import compiled as compiled_pkg
+
+        def refuse(*args, **kwargs):
+            raise UnsupportedPlanError("unsupported conv family: Custom")
+
+        monkeypatch.setattr(compiled_pkg, "compile_instance", refuse)
+        artifact = _instance_artifact("gcn")
+        with pytest.raises(UnsupportedPlanError, match="compiled=False"):
+            InferenceEngine(artifact, cache_size=0)
+        oracle = InferenceEngine(artifact, cache_size=0, compiled=False)
+        assert oracle.predict_batch(_rows(artifact, n=2)).shape[0] == 2
+
+    def test_plugin_scorers_serve_through_their_own_score(self):
         from repro.formulations.base import RowScorer
 
         class PluginScorer(RowScorer):
@@ -171,6 +182,6 @@ class TestFallbacks:
         engine = InferenceEngine(_instance_artifact("gcn"))
         text = engine.registry.render_prometheus()
         assert 'repro_engine_compiled{formulation="instance"} 1' in text
-        interpreted = InferenceEngine(_instance_artifact("gcn"), compiled=False)
-        text = interpreted.registry.render_prometheus()
+        oracle = InferenceEngine(_instance_artifact("gcn"), compiled=False)
+        text = oracle.registry.render_prometheus()
         assert 'repro_engine_compiled{formulation="instance"} 0' in text

@@ -5,11 +5,10 @@ Covers the three contracts the unified GNN stacks lean on:
 * full-graph edge views reproduce the memoized adjacency operators, so
   ``propagate(h, view)`` equals the legacy ``forward(h, operator)`` for
   every conv family;
-* the per-request bipartite attach view carries the exact normalization
-  the induced (pool + queries) graph would derive;
 * the segment primitives under the ``propagate`` path are differentiable
-  (finite-difference checked) and ``segment_softmax`` stays a proper
-  per-segment distribution even when some segments are empty.
+  (finite-difference checked), also on hand-built bipartite views whose
+  destinations are not their sources, and ``segment_softmax`` stays a
+  proper per-segment distribution even when some segments are empty.
 """
 
 import numpy as np
@@ -18,7 +17,7 @@ import pytest
 from repro.construction.rules import knn_graph
 from repro.gnn.attention import GATConv
 from repro.gnn.conv import GCNConv, GINConv, GatedGraphConv, SAGEConv
-from repro.graph import EdgeView, Graph
+from repro.graph import EdgeView
 from repro.tensor import Tensor, ops
 
 RNG = np.random.default_rng(11)
@@ -100,8 +99,6 @@ class TestGraphEdgeViews:
         g = small_graph()
         with pytest.raises(ValueError, match="edge-view kind"):
             g.edge_view("bogus")
-        with pytest.raises(ValueError, match="edge-view kind"):
-            g.attach_view("bogus", np.zeros((2, 3), np.int64))
 
     def test_gatherless_path_matches_matrix_path(self):
         g = small_graph()
@@ -171,47 +168,6 @@ class TestPropagateForwardParity:
 
 
 # ----------------------------------------------------------------------
-# bipartite attach views
-# ----------------------------------------------------------------------
-class TestAttachView:
-    def test_shapes_and_conventions(self):
-        g = small_graph()
-        neighbors = np.array([[0, 1, 2], [3, 4, 5]])
-        view = g.attach_view("mean", neighbors)
-        assert view.num_nodes == 2 * 3 + 2
-        np.testing.assert_array_equal(view.src, np.arange(6))
-        np.testing.assert_array_equal(view.dst, [6, 6, 6, 7, 7, 7])
-        np.testing.assert_allclose(view.weight, 1.0 / 3.0)
-
-    def test_gcn_weights_match_induced_graph(self):
-        """Attach-view coefficients equal the induced graph's Â rows."""
-        g = small_graph()
-        n, k = g.num_nodes, 3
-        neighbors = np.array([[0, 2, 4], [1, 3, 5]])
-        batch = neighbors.shape[0]
-        # Build the induced (pool + queries) graph the oracle would use.
-        query_ids = n + np.arange(batch)
-        attach = np.stack([neighbors.reshape(-1), np.repeat(query_ids, k)])
-        edge_index = np.concatenate([g.edge_index, attach], axis=1)
-        induced = Graph(n + batch, edge_index)
-        a_hat = induced.gcn_adjacency()
-        view = g.attach_view("gcn", neighbors)
-        # Attach edge q←p weight must equal Â[q, p]; loop weight Â[q, q].
-        for e in range(batch * k):
-            q, p = e // k, neighbors.reshape(-1)[e]
-            np.testing.assert_allclose(view.weight[e], a_hat[n + q, p], atol=1e-12)
-        for q in range(batch):
-            np.testing.assert_allclose(
-                view.weight[batch * k + q], a_hat[n + q, n + q], atol=1e-12
-            )
-
-    def test_empty_neighbor_idx_rejected(self):
-        g = small_graph()
-        with pytest.raises(ValueError, match="non-empty"):
-            g.attach_view("mean", np.zeros((0, 3), np.int64))
-
-
-# ----------------------------------------------------------------------
 # gradients through the propagate path
 # ----------------------------------------------------------------------
 class TestPropagateGradients:
@@ -238,9 +194,14 @@ class TestPropagateGradients:
         self._check_input_grad(lambda x: view.aggregate(x), RNG.normal(size=(5, 3)))
 
     def test_gat_propagate_grad_on_attach_view(self):
-        g = small_graph()
+        # Two queries (nodes 6, 7), each attached to three source-only
+        # nodes plus a self loop: destinations are not the sources.
         conv = GATConv(4, 3, rng(), num_heads=2)
-        view = g.attach_view("attention", np.array([[0, 1, 2], [3, 4, 5]]))
+        view = EdgeView(
+            src=np.array([0, 1, 2, 3, 4, 5, 6, 7]),
+            dst=np.array([6, 6, 6, 7, 7, 7, 6, 7]),
+            num_nodes=8,
+        )
         self._check_input_grad(
             lambda x: conv.propagate(x, view), RNG.normal(size=(view.num_nodes, 4))
         )
@@ -250,9 +211,15 @@ class TestPropagateGradients:
         assert conv.att_src.grad is not None
 
     def test_gated_propagate_grad_reaches_gru(self):
-        g = small_graph(d=6)
+        # Three queries (nodes 6-8), each averaging two source-only nodes
+        # and itself: the mean-with-loops weights are 1/3 per edge.
         conv = GatedGraphConv(6, rng(), num_steps=2)
-        view = g.attach_view("mean_loops", np.array([[0, 1], [2, 3], [4, 5]]))
+        view = EdgeView(
+            src=np.array([0, 1, 2, 3, 4, 5, 6, 7, 8]),
+            dst=np.array([6, 6, 7, 7, 8, 8, 6, 7, 8]),
+            num_nodes=9,
+            weight=np.full(9, 1.0 / 3.0),
+        )
         x = Tensor(RNG.normal(size=(view.num_nodes, 6)), requires_grad=True)
         ops.sum(conv.propagate(x, view)).backward()
         assert x.grad is not None and np.abs(x.grad).sum() > 0

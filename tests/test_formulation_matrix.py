@@ -2,14 +2,13 @@
 
 The formulation × serving matrix is closed: every formulation registered
 as servable must export → reload → serve, and the served probabilities
-must match that formulation's oracle to 1e-8 —
-
-* the **full-graph oracle** (``incremental=False``) where one exists
-  (instance rebuilds the induced pool+queries graph, hypergraph appends
-  query columns to the incidence, feature re-scores directly);
-* the **transductive forward** where vocabulary lookup *is* the serve
-  path (multiplex/hetero raise on ``incremental=False``), in which case
-  served training rows must reproduce the training logits exactly.
+(the compiled plan, the engine default) must match that formulation's
+autograd oracle (``compiled=False``) to 1e-8: the training model's forward
+over the frozen pool with the query rows appended as receive-only nodes.
+Instance rebuilds the induced pool+queries graph, multiplex appends rows
+that read their value groups' pool means without joining them, hetero
+appends instance nodes with only value→instance edges, hypergraph appends
+query columns to the incidence, and feature re-scores directly.
 
 The matrix is built from the live registry at collection time, so a
 formulation registered later is fuzzed automatically with zero edits
@@ -81,12 +80,8 @@ def _cell_rng(form, network):
 
 
 def _oracle_engine(artifact):
-    """The formulation's full-graph oracle, or ``None`` if the serve path
-    is its own oracle (vocabulary-lookup formulations reject the flag)."""
-    try:
-        return InferenceEngine(artifact, cache_size=0, incremental=False)
-    except ValueError:
-        return None
+    """The formulation's appended-query autograd oracle."""
+    return InferenceEngine(artifact, cache_size=0, compiled=False)
 
 
 def test_matrix_covers_every_servable_formulation():
@@ -108,17 +103,9 @@ def test_export_reload_serve_matches_oracle(form, network, tmp_path, dataset, tr
     assert np.isfinite(served).all()
     np.testing.assert_allclose(served.sum(axis=1), 1.0, atol=1e-10)
 
-    oracle = _oracle_engine(loaded)
-    if oracle is not None:
-        expected = oracle.predict_batch(
-            dataset.numerical[idx], dataset.categorical[idx]
-        )
-    else:
-        # No full-graph path: the transductive forward is the oracle, and
-        # value-node serving must reproduce it exactly on training rows.
-        # softmax_rows is what the engine applies to scorer logits, so the
-        # comparison uses the very same probability mapping.
-        expected = softmax_rows(result.state.logits()[idx], axis=1)
+    expected = _oracle_engine(loaded).predict_batch(
+        dataset.numerical[idx], dataset.categorical[idx]
+    )
     np.testing.assert_allclose(served, expected, atol=1e-8)
 
 
@@ -126,8 +113,8 @@ def test_export_reload_serve_matches_oracle(form, network, tmp_path, dataset, tr
 def test_fuzzed_unseen_rows_serve_validly(form, network, dataset, trained):
     # Seeded fuzz over genuinely unseen traffic: perturbed numericals and
     # randomly-missing cells must score to finite, normalized probabilities
-    # on the serve path, and on the full-graph oracle where one exists the
-    # two paths must agree to 1e-8 even for these rows.
+    # on the serve path, and the oracle must agree to 1e-8 even for these
+    # rows.
     artifact = trained(form, network).export_artifact()
     engine = InferenceEngine(artifact, cache_size=0)
     rng = _cell_rng(form, network)
@@ -146,26 +133,25 @@ def test_fuzzed_unseen_rows_serve_validly(form, network, dataset, trained):
     assert np.isfinite(served).all()
     np.testing.assert_allclose(served.sum(axis=1), 1.0, atol=1e-10)
 
-    oracle = _oracle_engine(artifact)
-    if oracle is not None:
-        np.testing.assert_allclose(
-            served, oracle.predict_batch(numerical, categorical), atol=1e-8
-        )
+    np.testing.assert_allclose(
+        served,
+        _oracle_engine(artifact).predict_batch(numerical, categorical),
+        atol=1e-8,
+    )
 
 
 @pytest.mark.parametrize(("form", "network"), MATRIX)
-def test_compiled_plan_matches_interpreted_scorer(form, network, dataset, trained):
-    # The compiled plan (default) must reproduce the interpreted autograd
-    # scorer to 1e-8 on every registered servable cell — including fuzzed
-    # unseen rows, missing cells, and a never-seen categorical code — and
-    # must keep the serving counters (unk_values, attach_edges) identical.
-    # Plug-in formulations whose path cannot be lowered fall back to the
-    # interpreted scorer, so this comparison holds for them trivially.
+def test_compiled_plan_matches_oracle(form, network, dataset, trained):
+    # The compiled plan (default) must reproduce the appended-query
+    # autograd oracle to 1e-8 on every registered servable cell — training
+    # rows, fuzzed unseen rows, NaN and missing cells, and a never-seen
+    # categorical code — and must keep the serving counters (unk_values,
+    # attach_edges) identical.
     artifact = trained(form, network).export_artifact()
     compiled = InferenceEngine(artifact, cache_size=0)
-    interpreted = InferenceEngine(artifact, cache_size=0, compiled=False)
+    oracle = _oracle_engine(artifact)
     assert compiled.compiled, "registry formulations all lower to plans"
-    assert not interpreted.compiled
+    assert not oracle.compiled and not oracle.incremental
     assert compiled.compile_ms > 0.0
     rng = _cell_rng(form, network)
 
@@ -177,19 +163,21 @@ def test_compiled_plan_matches_interpreted_scorer(form, network, dataset, traine
     numerical[rng.random(numerical.shape) < 0.25] = np.nan
     categorical[rng.random(categorical.shape) < 0.25] = -1
     categorical[:2, 0] = 10_000_000  # never-seen code → UNK bucket
+    numerical = np.concatenate([dataset.numerical[idx[:6]], numerical])
+    categorical = np.concatenate([dataset.categorical[idx[:6]], categorical])
 
     np.testing.assert_allclose(
         compiled.predict_batch(numerical, categorical),
-        interpreted.predict_batch(numerical, categorical),
+        oracle.predict_batch(numerical, categorical),
         atol=1e-8,
     )
     np.testing.assert_allclose(
         compiled.predict(numerical[:1], categorical[:1]),
-        interpreted.predict(numerical[:1], categorical[:1]),
+        oracle.predict(numerical[:1], categorical[:1]),
         atol=1e-8,
     )
     for key in ("unk_values", "attach_edges"):
-        assert compiled.stats.get(key) == interpreted.stats.get(key), key
+        assert compiled.stats.get(key) == oracle.stats.get(key), key
 
 
 @pytest.mark.parametrize("network", INSTANCE_NETWORKS)

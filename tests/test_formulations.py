@@ -21,6 +21,7 @@ from repro.datasets import make_fraud
 from repro.pipeline import FORMULATIONS, run_pipeline
 from repro.serving import InferenceEngine, ModelArtifact, PredictionServer
 from repro.serving.artifact import ARTIFACT_SCHEMA_VERSION
+from repro.tensor.ops import softmax_rows
 
 SERVABLE = ("instance", "feature", "multiplex", "hetero", "hypergraph")
 
@@ -194,21 +195,58 @@ class TestServableRoundTrip:
         np.testing.assert_allclose(probs.sum(axis=1), 1.0, atol=1e-10)
 
     @pytest.mark.parametrize("form", ["multiplex", "hetero"])
-    def test_no_full_graph_oracle_for_value_node_formulations(
-        self, form, results
+    def test_value_node_formulations_have_an_appended_query_oracle(
+        self, form, dataset, results
     ):
-        with pytest.raises(ValueError, match="full-graph oracle"):
-            InferenceEngine(
-                results[form].export_artifact(), cache_size=0, incremental=False
+        # compiled=False appends the queries as receive-only rows/nodes:
+        # training rows reproduce their transductive probabilities and
+        # the pool is not moved, so a batch scores like its rows one by one.
+        artifact = results[form].export_artifact()
+        oracle = InferenceEngine(artifact, cache_size=0, compiled=False)
+        assert not oracle.compiled and not oracle.incremental
+        rows = (dataset.numerical[:6], dataset.categorical[:6])
+        probs = oracle.predict_batch(*rows)
+        np.testing.assert_allclose(
+            probs, softmax_rows(results[form].state.logits()[:6], axis=1),
+            atol=1e-12,
+        )
+        np.testing.assert_allclose(
+            oracle.predict(rows[0][3], rows[1][3]), probs[3], atol=1e-12
+        )
+
+    @pytest.mark.parametrize("form", ["multiplex", "hetero"])
+    def test_appended_queries_leave_the_pool_unchanged(
+        self, form, dataset, results
+    ):
+        # The oracle's graph copy appends receive-only rows/nodes: the
+        # model over it reproduces every pool row's logits.
+        artifact = results[form].export_artifact()
+        fitted = artifact.fitted
+        numerical, categorical = dataset.numerical[:5], dataset.categorical[:5]
+        if form == "multiplex":
+            graph = fitted.graph.with_queries(
+                artifact.preprocessor.transform(numerical, categorical),
+                [spec.encode(numerical, categorical) for spec in fitted.specs],
             )
+        else:
+            graph = fitted.graph.with_queries(
+                fitted.instance_features(numerical),
+                {s.name: s.encode(numerical, categorical) for s in fitted.specs},
+            )
+        pool = artifact.build_model()().data
+        appended = artifact.build_model(graph=graph)().data
+        n = pool.shape[0]
+        assert appended.shape[0] == n + 5
+        np.testing.assert_allclose(appended[:n], pool, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(appended[n:], pool[:5], rtol=0, atol=1e-12)
 
     def test_hypergraph_incremental_matches_full_graph_oracle(
         self, dataset, results
     ):
-        # Unlike multiplex/hetero, hypergraph keeps a full-graph oracle
-        # (queries appended as incidence columns, scored via the model's
-        # ordinary spmm forward); the cached-node-state incremental path
-        # must agree with it on genuinely unseen rows too.
+        # The hypergraph oracle appends the queries as incidence columns
+        # and scores them via the model's ordinary spmm forward; the
+        # cached-node-state compiled path must agree with it on genuinely
+        # unseen rows too.
         artifact = results["hypergraph"].export_artifact()
         rng = np.random.default_rng(7)
         numerical = dataset.numerical[:12] + rng.normal(0, 0.3, (12, dataset.num_numerical))
@@ -217,7 +255,7 @@ class TestServableRoundTrip:
             numerical, categorical
         )
         oracle = InferenceEngine(
-            artifact, cache_size=0, incremental=False
+            artifact, cache_size=0, compiled=False
         ).predict_batch(numerical, categorical)
         np.testing.assert_allclose(inc, oracle, atol=1e-8)
 

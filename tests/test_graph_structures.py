@@ -232,6 +232,31 @@ class TestHeteroGraph:
         with pytest.raises(ValueError):
             g.set_labels("value", np.zeros(2))
 
+    def test_with_queries_appends_receive_only_targets(self):
+        g = self.build()
+        g.add_reverse_edges()
+        g.set_features("instance", np.eye(4))
+        g.set_features("value", np.ones((3, 2)))
+        g.set_labels("instance", np.array([0, 1, 0, 1]))
+        x = np.full((2, 4), 7.0)
+        q = g.with_queries(x, {"value": np.array([1, -1])})
+        assert q.node_counts == {"instance": 6, "value": 3}
+        assert q.target_type == "instance"
+        # No edge leaves the new nodes: instance → value is the pool's.
+        np.testing.assert_array_equal(
+            q.edge_indexes[("instance", "has", "value")],
+            g.edge_indexes[("instance", "has", "value")],
+        )
+        # Query 0 matched value 1; query 1 (-1) gets no edge at all.
+        rev = ("value", "rev_has", "instance")
+        np.testing.assert_array_equal(
+            q.edge_indexes[rev],
+            np.concatenate([g.edge_indexes[rev], [[1], [4]]], axis=1),
+        )
+        np.testing.assert_array_equal(q.node_features["instance"][4:], x)
+        np.testing.assert_array_equal(q.node_features["value"], g.node_features["value"])
+        assert g.node_counts["instance"] == 4, "the source graph is not touched"
+
 
 class TestMultiplexGraph:
     def test_layers_share_nodes(self):
@@ -269,6 +294,26 @@ class TestMultiplexGraph:
     def test_flatten_empty(self):
         flat = MultiplexGraph(3).flatten()
         assert flat.num_edges == 0
+
+    def test_with_queries_appends_receive_only_rows(self):
+        g = MultiplexGraph(3, x=np.eye(3))
+        g.add_value_layer("a", [0, -1, 0])
+        g.add_value_layer("b", [2, 2, 1])
+        x = np.full((2, 3), 5.0)
+        q = g.with_queries(x, [np.array([0, 9]), np.array([-1, 1])])
+        assert q.num_nodes == 5 and q.receive_only == 2
+        np.testing.assert_array_equal(q.x, np.concatenate([np.eye(3), x]))
+        np.testing.assert_array_equal(q.value_layers["a"], [0, -1, 0, 0, 9])
+        np.testing.assert_array_equal(q.value_layers["b"], [2, 2, 1, -1, 1])
+        assert list(q.value_layers) == ["a", "b"]
+        assert g.num_nodes == 3 and g.receive_only == 0
+
+    def test_with_queries_needs_one_code_array_per_layer(self):
+        g = MultiplexGraph(2, x=np.eye(2))
+        g.add_value_layer("a", [0, 1])
+        g.add_value_layer("b", [1, 1])
+        with pytest.raises(ValueError, match="expected 2 code arrays"):
+            g.with_queries(np.zeros((1, 2)), [np.array([0])])
 
 
 class TestHypergraph:

@@ -1,14 +1,13 @@
-"""Tests for incremental query propagation through the serving stack.
+"""Tests for pool-cached query scoring through the serving stack.
 
-The incremental path (cached per-step pool activations + generic
-propagation over the bipartite attach view) must be numerically
-indistinguishable from the full-graph oracle (rebuild the
-(pool + queries) graph, re-forward everything) for **every** network in
-the zoo — operator, attention and gated stacks alike — across retrieval
-metrics and batch sizes.  Also covers the supporting machinery this path
-leans on: memoized graph operators and edge views, the precomputed
-``PoolIndex``, skip-init artifact loading, and LRU cache
-eviction/read-only guarantees.
+The default path (cached per-step pool activations folded into a compiled
+plan) must be numerically indistinguishable from the full-graph oracle
+(``compiled=False``: rebuild the (pool + queries) graph, re-forward
+everything) for **every** network in the zoo — operator, attention and
+gated stacks alike — across retrieval metrics and batch sizes.  Also
+covers the supporting machinery this path leans on: memoized graph
+operators and edge views, the precomputed ``PoolIndex``, skip-init
+artifact loading, and LRU cache eviction/read-only guarantees.
 """
 
 import numpy as np
@@ -60,7 +59,7 @@ def _instance_artifact(network, metric, seed=0, num_layers=2):
 
 
 # ----------------------------------------------------------------------
-# incremental vs full-graph parity
+# pool-cached (compiled) vs full-graph parity
 # ----------------------------------------------------------------------
 class TestIncrementalParity:
     @pytest.mark.parametrize("network", ALL_NETWORKS)
@@ -70,8 +69,8 @@ class TestIncrementalParity:
         self, network, metric, batch_size
     ):
         dataset, artifact = _instance_artifact(network, metric)
-        incremental = InferenceEngine(artifact, cache_size=0, incremental=True)
-        oracle = InferenceEngine(artifact, cache_size=0, incremental=False)
+        incremental = InferenceEngine(artifact, cache_size=0)
+        oracle = InferenceEngine(artifact, cache_size=0, compiled=False)
         assert incremental.incremental and not oracle.incremental
         rng = np.random.default_rng(7)
         rows = dataset.numerical[:batch_size] + rng.normal(
@@ -84,8 +83,8 @@ class TestIncrementalParity:
     @pytest.mark.parametrize("network", ["gcn", "gat"])
     def test_three_layer_stack_parity(self, network):
         dataset, artifact = _instance_artifact(network, "euclidean", num_layers=3)
-        incremental = InferenceEngine(artifact, cache_size=0, incremental=True)
-        oracle = InferenceEngine(artifact, cache_size=0, incremental=False)
+        incremental = InferenceEngine(artifact, cache_size=0)
+        oracle = InferenceEngine(artifact, cache_size=0, compiled=False)
         rows = dataset.numerical[:4] + 0.05
         np.testing.assert_allclose(
             incremental.predict_batch(rows), oracle.predict_batch(rows), atol=1e-8
@@ -99,23 +98,11 @@ class TestIncrementalParity:
     @pytest.mark.parametrize("network", ["gat", "gated"])
     def test_oracle_path_retained_for_explicit_opt_out(self, network):
         dataset, artifact = _instance_artifact(network, "euclidean")
-        engine = InferenceEngine(artifact, cache_size=0, incremental=False)
+        engine = InferenceEngine(artifact, cache_size=0, compiled=False)
         assert engine.incremental is False
         probs = engine.predict_batch(dataset.numerical[:2])
         assert probs.shape == (2, dataset.num_classes)
         np.testing.assert_allclose(probs.sum(axis=1), 1.0, atol=1e-10)
-
-    def test_feature_formulation_strict_mode_raises(self):
-        from repro.datasets import make_fraud
-        from repro.pipeline import run_pipeline
-
-        result = run_pipeline(
-            make_fraud(n=120, seed=0), formulation="feature", max_epochs=3, seed=0
-        )
-        artifact = result.export_artifact()
-        assert InferenceEngine(artifact, cache_size=0).incremental is False
-        with pytest.raises(ValueError, match="pool graph"):
-            InferenceEngine(artifact, cache_size=0, incremental=True)
 
     def test_model_built_once_and_reused_across_requests(self):
         dataset, artifact = _instance_artifact("gcn", "euclidean")
@@ -129,21 +116,7 @@ class TestIncrementalParity:
         for i in range(3):
             engine.predict(dataset.numerical[i] + 0.01)
         assert engine._scorer.model is model
-        assert len(builds) == 1, "incremental path must not rebuild per request"
-
-    def test_propagate_queries_validates_inputs(self):
-        _, artifact = _instance_artifact("gcn", "euclidean")
-        engine = InferenceEngine(artifact, cache_size=0)
-        model, hiddens = engine._scorer.model, engine._scorer.pool_hiddens
-        good = np.zeros((2, artifact.pool_x.shape[1]))
-        with pytest.raises(ValueError, match="features"):
-            model.propagate_queries(np.zeros((2, 3)), np.zeros((2, K), np.int64), hiddens)
-        with pytest.raises(ValueError, match="neighbor"):
-            model.propagate_queries(good, np.zeros((3, K), np.int64), hiddens)
-        with pytest.raises(ValueError, match="neighbor indices"):
-            model.propagate_queries(good, np.full((2, K), POOL_ROWS), hiddens)
-        with pytest.raises(ValueError, match="propagation steps"):
-            model.propagate_queries(good, np.zeros((2, K), np.int64), hiddens[:1])
+        assert len(builds) == 1, "the compiled path must not rebuild per request"
 
 
 # ----------------------------------------------------------------------

@@ -1,6 +1,7 @@
 """Hypothesis property-based tests on core data structures and invariants."""
 
 import numpy as np
+import scipy.sparse as sp
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
@@ -192,6 +193,52 @@ def test_group_mean_equals_uncapped_clique_gcn(codes, width, seed):
     tol = 1e-14
     assert np.abs(out.data - reference.data).max() <= tol * np.abs(z_data).max()
     assert np.abs(z.grad - z_ref.grad).max() <= tol * np.abs(probe).max()
+
+
+def _all_sender_operators(codes):
+    """The training operators: every row joins its group's mean."""
+    n = codes.size
+    keys = np.where(codes >= 0, codes, -1 - np.arange(n))
+    _, group, sizes = np.unique(keys, return_inverse=True, return_counts=True)
+    members = sp.csr_matrix((np.ones(n), group, np.arange(n + 1)), shape=(n, sizes.size))
+    return members, (sp.diags(1.0 / sizes) @ members.T).tocsr()
+
+
+@settings(max_examples=60, deadline=None)
+@given(arrays(np.int64, st.integers(1, 80), elements=st.integers(-1, 5)),
+       arrays(np.int64, st.integers(0, 12), elements=st.integers(-1, 9)),
+       st.integers(1, 4), st.integers(0, 2**32 - 1))
+@example(np.zeros(80, np.int64), np.array([0, -1, 7]), 3, 0)
+@example(np.full(7, -1), np.array([-1, 0]), 2, 0)  # no pool group at all
+@example(np.arange(6), np.arange(-1, 10), 1, 0)  # singleton groups only
+def test_group_mean_receive_only_rows(codes, queries, width, seed):
+    # The multiplex serving oracle: query rows appended as receive-only
+    # rows read their group's pool mean without moving it.
+    pool = codes.size
+    local = np.random.default_rng(seed)
+    z = local.normal(size=(pool + queries.size, width))
+
+    # No appended rows: exactly the operators training runs on.
+    for got, ref in zip(group_mean_operators(codes), _all_sender_operators(codes)):
+        assert got.shape == ref.shape
+        for attr in ("indptr", "indices", "data"):
+            assert np.array_equal(getattr(got, attr), getattr(ref, attr)), attr
+
+    members, means = group_mean_operators(
+        np.concatenate([codes, queries]), receive_only=queries.size
+    )
+    out = ops.spmm(members, ops.spmm(means, Tensor(z))).data
+    ref_members, ref_means = _all_sender_operators(codes)
+    expected_pool = ops.spmm(ref_members, ops.spmm(ref_means, Tensor(z[:pool]))).data
+    assert np.array_equal(out[:pool], expected_pool)
+    for q, code in enumerate(queries):
+        row = out[pool + q]
+        group = np.flatnonzero(codes == code) if code >= 0 else np.zeros(0, int)
+        if group.size:
+            mean = z[group].mean(axis=0)
+            assert np.abs(row - mean).max() <= 1e-14 * np.abs(z[group]).max()
+        else:
+            assert np.array_equal(row, z[pool + q])
 
 
 @settings(max_examples=30, deadline=None)
