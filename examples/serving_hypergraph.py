@@ -82,5 +82,5 @@ with tempfile.TemporaryDirectory() as tmp:
             health = json.loads(response.read())
         print("http /healthz:", {k: health[k] for k in
                                  ("status", "formulation", "network",
-                                  "schema_version", "incremental",
+                                  "schema_version", "compiled",
                                   "pool_rows")})

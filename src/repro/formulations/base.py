@@ -62,11 +62,11 @@ def _timed_score(inner):
 class RowScorer(abc.ABC):
     """Serve-time scoring strategy produced by a fitted formulation.
 
-    ``incremental`` reports whether the scorer computes only query rows
-    against cached pool-side state (the compiled fast path), as opposed to
-    re-running the model over the pool per request (the oracle).  Scorers
-    receive *validated* raw row arrays (the engine runs
-    ``preprocessor.normalize_rows`` first) and return logits.
+    Scorers receive *validated* raw row arrays (the engine runs
+    ``preprocessor.normalize_rows`` first) and return logits.  A built-in
+    scorer serves through :attr:`plan` once the engine has set it from
+    :meth:`compile_plan`, and through its autograd oracle while it is
+    ``None``.
 
     Observability: the engine binds its :class:`~repro.obs.Tracer` via
     :meth:`bind_tracer` after construction; on requests the engine samples
@@ -77,12 +77,12 @@ class RowScorer(abc.ABC):
     usable without any observability wiring.
     """
 
-    incremental: bool = False
     #: class-level default — unbound scorers trace nothing
     _tracer: Optional[Tracer] = None
-    #: compiled plan executor (see :mod:`repro.serving.compiled`); ``None``
-    #: on the oracle and on plug-in scorers that serve through ``score``
-    _compiled = None
+    #: the :class:`~repro.serving.compiled.InferencePlan` that
+    #: :meth:`compile_plan` built; ``None`` on the oracle and on plug-in
+    #: scorers that serve through ``score``
+    plan = None
 
     def __init_subclass__(cls, **kwargs) -> None:
         super().__init_subclass__(**kwargs)
@@ -106,22 +106,18 @@ class RowScorer(abc.ABC):
         return tracer.span(name)
 
     def compile_plan(self):
-        """Lower this scorer's query path to a compiled plan executor.
+        """Build this scorer's compiled :attr:`plan`: the one fast path.
 
-        Returns an executor (object with a ``.plan`` and a ``run``
-        method the scorer's ``score`` knows how to feed).  The default
+        Built-in scorers build their model and lower it with a
+        ``compile_*`` function of :mod:`repro.serving.compiled`, which
+        folds the pool state into the plan's constants; ``score`` then
+        patches its per-request feeds into ``plan.run``.  The default
         returns ``None``: plug-in formulations serve through their own
         ``score`` without any extra work.  Built-in scorers raise
         :class:`~repro.serving.compiled.UnsupportedPlanError` when their
         model does not lower; they never fall back to a slower path.
         """
         return None
-
-    def enable_compiled(self) -> bool:
-        """Build the compiled plan once; report whether scoring uses it."""
-        if self._compiled is None:
-            self._compiled = self.compile_plan()
-        return self._compiled is not None
 
     @abc.abstractmethod
     def score(self, numerical: np.ndarray, categorical: np.ndarray) -> np.ndarray:
@@ -196,16 +192,15 @@ class FittedFormulation(abc.ABC):
             f"formulation {self.name!r} does not export serving artifacts"
         )
 
-    def make_scorer(self, artifact, compiled: bool, stats: Dict[str, int]) -> RowScorer:
+    def make_scorer(self, artifact, stats: Dict[str, int]) -> RowScorer:
         """Build the scorer the inference engine delegates requests to.
 
-        ``compiled=True`` prepares the fast path the engine then lowers
-        through :meth:`RowScorer.enable_compiled`; ``compiled=False`` builds
-        the formulation's autograd oracle: the training model's forward
-        over the frozen pool with the query rows appended as receive-only
-        nodes.  ``stats`` is the engine's counter dict — scorers may add
-        their own counters (e.g. ``unk_values``), counted the same way in
-        both modes.
+        The scorer starts as the formulation's autograd oracle: the
+        training model's forward over the frozen pool with the query rows
+        appended as receive-only nodes.  A compiled engine then sets its
+        :attr:`RowScorer.plan` from :meth:`RowScorer.compile_plan`.
+        ``stats`` is the engine's counter dict — scorers may add their own
+        counters (e.g. ``unk_values``), counted the same way on both paths.
         """
         raise NotImplementedError(
             f"formulation {self.name!r} does not support serving"

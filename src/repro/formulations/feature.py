@@ -21,31 +21,32 @@ from repro.models import FeatureGraphClassifier
 
 
 class FeatureScorer(RowScorer):
-    """Direct row-wise scoring; the model is built once and reused.
+    """Direct row-wise scoring of the query rows: there is no pool.
 
-    There is no pool, so both modes score only the query rows: the
-    compiled plan, or the model's own forward as the oracle.
+    The compiled plan serves; without it the oracle is the model's own
+    forward, built on first use and reused.
     """
-
-    incremental = False
 
     def __init__(self, artifact) -> None:
         self._artifact = artifact
-        self.model = artifact.build_model()
+        self._model = None
 
     def score(self, numerical: np.ndarray, categorical: np.ndarray) -> np.ndarray:
         with self.stage("encode"):
             features = self._artifact.preprocessor.transform(numerical, categorical)
-        if self._compiled is not None:
+        if self.plan is not None:
             with self.stage("plan_execute"):
-                return self._compiled.run(features)
-        self.model.eval()
-        return self.model(features).data
+                x = np.nan_to_num(features, nan=0.0)  # as the tokenizer does
+                return self.plan.run(x.shape[0], {"x": x})
+        if self._model is None:
+            self._model = self._artifact.build_model()
+            self._model.eval()
+        return self._model(features).data
 
     def compile_plan(self):
         from repro.serving.compiled import compile_feature
 
-        return compile_feature(self.model)
+        return compile_feature(self._artifact.build_model())
 
 
 class FittedFeature(FittedFormulation):
@@ -98,7 +99,7 @@ class FittedFeature(FittedFormulation):
     def from_payload(cls, arrays, meta, config, preprocessor) -> "FittedFeature":
         return cls(preprocessor, config)
 
-    def make_scorer(self, artifact, compiled, stats) -> FeatureScorer:
+    def make_scorer(self, artifact, stats) -> FeatureScorer:
         return FeatureScorer(artifact)
 
 

@@ -42,18 +42,16 @@ _GRAPH = "graph::"
 class HeteroScorer(RowScorer):
     """Value-node lookup scoring against the typed pool states.
 
-    ``compiled=True`` caches the pool's per-layer typed states for the
-    compiled plan, which gathers each query's value-node messages;
-    ``compiled=False`` is the autograd oracle, HeteroGNN's forward over the
-    graph with the queries appended as receive-only instance nodes
-    (:meth:`~repro.graph.HeteroGraph.with_queries`).
+    The compiled plan gathers each query's pre-transformed value-node
+    messages; without it the scorer is the autograd oracle, HeteroGNN's
+    forward over the graph with the queries appended as receive-only
+    instance nodes (:meth:`~repro.graph.HeteroGraph.with_queries`).
     """
 
     def __init__(
         self,
         artifact,
         fitted: "FittedHetero",
-        compiled: bool,
         stats: Dict[str, int],
     ) -> None:
         self._artifact = artifact
@@ -61,10 +59,6 @@ class HeteroScorer(RowScorer):
         self._stats = stats
         stats.setdefault("unk_values", 0)
         stats.setdefault("attach_edges", 0)
-        self.incremental = bool(compiled)
-        if self.incremental:
-            self.model = artifact.build_model()
-            self.pool_states = self.model.network.pool_states()
 
     def score(self, numerical: np.ndarray, categorical: np.ndarray) -> np.ndarray:
         with self.stage("encode"):
@@ -81,9 +75,13 @@ class HeteroScorer(RowScorer):
                 value_ids[spec.name] = ids
             self._stats["unk_values"] += unk
             self._stats["attach_edges"] += attached
-        if self._compiled is not None:
+        if self.plan is not None:
             with self.stage("plan_execute"):
-                return self._compiled.run(features, value_ids)
+                feeds = {"x": features}
+                for name, ids in value_ids.items():
+                    feeds[f"idx::{name}"] = np.maximum(ids, 0)
+                    feeds[f"mask::{name}"] = ids >= 0
+                return self.plan.run(features.shape[0], feeds)
         graph = self._fitted.graph.with_queries(features, value_ids)
         model = self._artifact.build_model(graph=graph)
         return model().data[self._fitted.pool_rows:]
@@ -91,7 +89,7 @@ class HeteroScorer(RowScorer):
     def compile_plan(self):
         from repro.serving.compiled import compile_hetero
 
-        return compile_hetero(self.model.network, self.pool_states)
+        return compile_hetero(self._artifact.build_model().network)
 
 
 class FittedHetero(FittedFormulation):
@@ -188,8 +186,8 @@ class FittedHetero(FittedFormulation):
             config,
         )
 
-    def make_scorer(self, artifact, compiled, stats) -> HeteroScorer:
-        return HeteroScorer(artifact, self, compiled, stats)
+    def make_scorer(self, artifact, stats) -> HeteroScorer:
+        return HeteroScorer(artifact, self, stats)
 
 
 class HeteroFormulation(Formulation):

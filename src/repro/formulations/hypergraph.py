@@ -12,18 +12,18 @@ Serving — attach the query as a new hyperedge
 The same frozen-pool recipe the value-node formulations use: the artifact
 freezes the incidence structure and the fitted
 :class:`~repro.construction.intrinsic.HypergraphSpec` (global value-id
-offsets, cardinalities, quantile edges), the scorer caches the value-node
-states once, and each query row attaches as a **new hyperedge** over the
-frozen value nodes — a directed node→query-hyperedge mean through the
-same :class:`~repro.graph.homogeneous.EdgeView` substrate the conv layers
-propagate on.  Attach edges are directed, so value-node states are
-request-invariant and scoring is O(B·n_features·d), independent of the
-training-table size.  Training rows rejoin exactly the value nodes they
-occupied transductively, so their served logits reproduce the full-graph
-forward to round-off; never-seen categorical codes get **no membership**
-(the UNK fallback — same zero-message treatment a missing cell gets,
-counted in ``stats["unk_values"]``).  ``compiled=False`` is the autograd
-oracle: rebuild the model on the incidence with query columns appended
+offsets, cardinalities, quantile edges), the compiled plan folds the
+value-node states in once, and each query row attaches as a **new
+hyperedge** over the frozen value nodes — a directed node→query-hyperedge
+mean, read as a weighted gather over the row's member ids.  Attach edges
+are directed, so value-node states are request-invariant and scoring is
+O(B·n_features·C), independent of the training-table size.  Training
+rows rejoin exactly the value nodes they occupied transductively, so
+their served logits reproduce the full-graph forward to round-off;
+never-seen categorical codes get **no membership** (the UNK fallback —
+same zero-message treatment a missing cell gets, counted in
+``stats["unk_values"]``).  ``compiled=False`` is the autograd oracle:
+rebuild the model on the incidence with query columns appended
 (:meth:`~repro.graph.Hypergraph.with_hyperedges`) and read the query rows
 off the ordinary spmm forward.
 """
@@ -56,7 +56,6 @@ class HypergraphScorer(RowScorer):
         self,
         artifact,
         fitted: "FittedHypergraph",
-        compiled: bool,
         stats: Dict[str, int],
     ) -> None:
         self._artifact = artifact
@@ -64,14 +63,6 @@ class HypergraphScorer(RowScorer):
         self._stats = stats
         stats.setdefault("unk_values", 0)
         stats.setdefault("attach_edges", 0)
-        self.incremental = bool(compiled)
-        if self.incremental:
-            # One model on the frozen hypergraph, then the precompute step:
-            # one node-state forward that the compiled plan folds into its
-            # constants.  The oracle rebuilds a model on the attached
-            # incidence per request instead, so it has no use for either.
-            self.model = artifact.build_model()
-            self.node_states = self.model.pool_node_states()
 
     def score(self, numerical: np.ndarray, categorical: np.ndarray) -> np.ndarray:
         with self.stage("encode"):
@@ -79,11 +70,15 @@ class HypergraphScorer(RowScorer):
                 numerical, categorical, self._stats
             )
             self._stats["attach_edges"] += int(np.count_nonzero(member_ids >= 0))
-        if self._compiled is not None:
+        if self.plan is not None:
             with self.stage("attach"):
-                view = self._fitted.graph.attach_view(member_ids)
+                # A row's ids are distinct (disjoint per-column id ranges),
+                # so its readout weight is 1/degree on each present member.
+                present = member_ids >= 0
+                degree = np.maximum(present.sum(axis=1, keepdims=True), 1)
+                feeds = {"ids": np.maximum(member_ids, 0), "w": present / degree}
             with self.stage("plan_execute"):
-                return self._compiled.run(view, member_ids.shape[0])
+                return self.plan.run(member_ids.shape[0], feeds)
         with self.stage("attach"):
             attached = self._fitted.graph.with_hyperedges(member_ids)
             model = self._artifact.build_model(graph=attached)
@@ -92,7 +87,7 @@ class HypergraphScorer(RowScorer):
     def compile_plan(self):
         from repro.serving.compiled import compile_hypergraph
 
-        return compile_hypergraph(self.model, self.node_states)
+        return compile_hypergraph(self._artifact.build_model())
 
 
 class FittedHypergraph(FittedFormulation):
@@ -159,8 +154,8 @@ class FittedHypergraph(FittedFormulation):
         )
         return cls(graph, spec, preprocessor, config)
 
-    def make_scorer(self, artifact, compiled, stats) -> HypergraphScorer:
-        return HypergraphScorer(artifact, self, compiled, stats)
+    def make_scorer(self, artifact, stats) -> HypergraphScorer:
+        return HypergraphScorer(artifact, self, stats)
 
 
 class HypergraphFormulation(Formulation):

@@ -29,10 +29,10 @@ from repro.graph.homogeneous import Graph
 class InstanceScorer(RowScorer):
     """Retrieval-attach scoring against the frozen training pool.
 
-    ``compiled=True`` caches the pool's per-layer activations at
-    construction for the compiled plan, which computes only the query rows
-    per request; ``compiled=False`` is the autograd oracle, the network's
-    forward over the induced (pool + queries) graph.
+    The compiled plan folds the pool's per-layer activations into its
+    constants and computes only the query rows per request; without it the
+    scorer is the autograd oracle, the network's forward over the induced
+    (pool + queries) graph.
 
     Retrieval rides a pluggable :class:`~repro.construction.PoolIndex`
     backend: ``index="exact"`` (default) is the exhaustive scan,
@@ -55,7 +55,6 @@ class InstanceScorer(RowScorer):
         self,
         artifact,
         fitted: "FittedInstance",
-        compiled: bool,
         stats: Dict[str, int],
         index: Optional[str] = None,
         nprobe: Optional[int] = None,
@@ -90,14 +89,6 @@ class InstanceScorer(RowScorer):
             stats.setdefault("retrieval_probed_cells", 0)
             stats.setdefault("retrieval_candidates", 0)
             self.retrieval_recall = 1.0
-        self.incremental = bool(compiled)
-        if self.incremental:
-            # One model built on the pool graph, then the precompute step:
-            # one pool-only forward that the compiled plan folds into its
-            # constants.  The oracle instead rebuilds a model on the
-            # induced graph per request, so it has no use for either.
-            self.model = artifact.build_model(self._graph)
-            self.pool_hiddens = self.model.pool_hidden_states()
 
     def _forward_full(self, features: np.ndarray, neighbors: np.ndarray) -> np.ndarray:
         """Correctness-oracle path: rebuild the (pool + queries) graph.
@@ -133,9 +124,11 @@ class InstanceScorer(RowScorer):
             self._stats["attach_edges"] += int(neighbors.size)
             if self._pool_index.is_approximate:
                 self._observe_retrieval(features, neighbors)
-        if self._compiled is not None:
+        if self.plan is not None:
             with self.stage("plan_execute"):
-                return self._compiled.run(features, neighbors)
+                return self.plan.run(
+                    features.shape[0], {"x": features, "nbr": neighbors}
+                )
         return self._forward_full(features, neighbors)
 
     def _observe_retrieval(
@@ -166,7 +159,7 @@ class InstanceScorer(RowScorer):
     def compile_plan(self):
         from repro.serving.compiled import compile_instance
 
-        return compile_instance(self.model, self._graph, self.pool_hiddens, self._k)
+        return compile_instance(self._artifact.build_model(self._graph), self._k)
 
 
 class FittedInstance(FittedFormulation):
@@ -220,12 +213,8 @@ class FittedInstance(FittedFormulation):
         graph = Graph(x.shape[0], arrays["edge_index"].astype(np.int64), x=x)
         return cls(graph, preprocessor, config)
 
-    def make_scorer(
-        self, artifact, compiled, stats, index=None, nprobe=None
-    ) -> InstanceScorer:
-        return InstanceScorer(
-            artifact, self, compiled, stats, index=index, nprobe=nprobe
-        )
+    def make_scorer(self, artifact, stats, index=None, nprobe=None) -> InstanceScorer:
+        return InstanceScorer(artifact, self, stats, index=index, nprobe=nprobe)
 
 
 class InstanceFormulation(Formulation):

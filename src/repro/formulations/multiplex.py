@@ -52,10 +52,9 @@ def _build_vocabularies(specs: List[ValueColumnSpec]) -> List[Vocabulary]:
 class MultiplexScorer(RowScorer):
     """Vocabulary-lookup scoring against the pool's value-group means.
 
-    ``compiled=True`` caches the pool's relation messages for the compiled
-    plan, which gathers each query's precomputed group means;
-    ``compiled=False`` is the autograd oracle, TabGNN's forward over the
-    pool with the queries appended as receive-only rows
+    The compiled plan gathers each query's precomputed group means; without
+    it the scorer is the autograd oracle, TabGNN's forward over the pool
+    with the queries appended as receive-only rows
     (:meth:`~repro.graph.MultiplexGraph.with_queries`).
     """
 
@@ -63,7 +62,6 @@ class MultiplexScorer(RowScorer):
         self,
         artifact,
         fitted: "FittedMultiplex",
-        compiled: bool,
         stats: Dict[str, int],
     ) -> None:
         self._artifact = artifact
@@ -80,10 +78,6 @@ class MultiplexScorer(RowScorer):
             np.array([vocab[key].shape[0] for key in keys], dtype=np.int64)
             for keys, vocab in zip(self._keys, fitted.vocabularies)
         ]
-        self.incremental = bool(compiled)
-        if self.incremental:
-            self.model = artifact.build_model()
-            self.pool_messages = self.model.pool_message_states()
 
     def _lookup(self, numerical: np.ndarray, categorical: np.ndarray) -> list:
         """Per relation ``(codes, group, matched)`` for the query rows.
@@ -113,11 +107,13 @@ class MultiplexScorer(RowScorer):
             features = self._artifact.preprocessor.transform(numerical, categorical)
         with self.stage("attach"):
             lookups = self._lookup(numerical, categorical)
-        if self._compiled is not None:
+        if self.plan is not None:
             with self.stage("plan_execute"):
-                return self._compiled.run(
-                    features, [(group, matched) for _, group, matched in lookups]
-                )
+                feeds = {"x": features}
+                for rel, (_, group, matched) in enumerate(lookups):
+                    feeds[f"idx{rel}"] = group
+                    feeds[f"mask{rel}"] = matched
+                return self.plan.run(features.shape[0], feeds)
         graph = self._fitted.graph.with_queries(
             features, [codes for codes, _, _ in lookups]
         )
@@ -127,9 +123,7 @@ class MultiplexScorer(RowScorer):
     def compile_plan(self):
         from repro.serving.compiled import compile_multiplex
 
-        return compile_multiplex(
-            self.model, self._fitted.vocabularies, self.pool_messages
-        )
+        return compile_multiplex(self._artifact.build_model())
 
 
 class FittedMultiplex(FittedFormulation):
@@ -214,8 +208,8 @@ class FittedMultiplex(FittedFormulation):
             graph.add_value_layer(str(column["name"]), codes)
         return cls(graph, specs, vocabularies, preprocessor, config)
 
-    def make_scorer(self, artifact, compiled, stats) -> MultiplexScorer:
-        return MultiplexScorer(artifact, self, compiled, stats)
+    def make_scorer(self, artifact, stats) -> MultiplexScorer:
+        return MultiplexScorer(artifact, self, stats)
 
 
 class MultiplexFormulation(Formulation):

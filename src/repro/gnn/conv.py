@@ -3,15 +3,16 @@
 Every layer speaks the edge-wise message-passing substrate: ``propagate``
 takes the node-state tensor plus an :class:`~repro.graph.homogeneous.EdgeView`
 of the appropriate flavor (declared by the layer's ``view_kind`` class
-attribute and memoized on the :class:`~repro.graph.Graph`).  Because the
-view is just "edges + optional coefficients", the same ``propagate`` runs
-on the full training graph and on the tiny bipartite attach view the
-serving engine builds per request — incremental inference needs no
-per-layer special cases.
+attribute and memoized on the :class:`~repro.graph.Graph`).  The model-zoo
+stacks train through ``propagate``, and the compiled serving plan
+(:mod:`repro.serving.compiled`) lowers each layer by its weights and
+family, so serving needs no per-request view.
 
-The legacy ``forward(x, adjacency)`` entry points (precomputed sparse
-operator) are kept for direct users (autoencoder, TabGNN, sampled
-training); on a full graph both paths compute identical numbers.
+The ``forward(x, adjacency)`` entry points (precomputed sparse operator)
+are kept for their direct users (the graph autoencoder and sampled
+GraphSAGE training); on a full graph both paths compute identical
+numbers.  TabGNN holds :class:`GCNConv` layers for their weights but
+aggregates through its group-mean operator instead of either entry point.
 """
 
 from __future__ import annotations

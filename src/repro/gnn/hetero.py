@@ -150,23 +150,6 @@ class HeteroGNN(nn.Module):
                     feats = {t: self.dropout(h) for t, h in feats.items()}
         return feats[self.target_type]
 
-    # -- serving ---------------------------------------------------------
-    def pool_states(self) -> List[Dict[str, np.ndarray]]:
-        """Per layer: the node states (all types) entering it, eval mode.
-
-        Value-node states never depend on query rows (queries receive
-        messages but are not part of the frozen graph), so one pool-only
-        forward caches everything a query's layer updates read.
-        """
-        states: List[Dict[str, np.ndarray]] = []
-        feats = self.node_features()
-        for i, layer in enumerate(self.layers):
-            states.append({t: h.data for t, h in feats.items()})
-            feats = layer(feats)
-            if i < len(self.layers) - 1:
-                feats = {t: ops.relu(h) for t, h in feats.items()}
-        return states
-
     def embed(self) -> Tensor:
         """Target-type representations from the penultimate layer pass."""
         feats = self.node_features()

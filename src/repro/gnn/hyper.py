@@ -81,18 +81,3 @@ class HypergraphGNN(nn.Module):
     def embed(self) -> Tensor:
         """Hyperedge (row) representations before the head."""
         return ops.spmm(self._node_to_edge, self.node_states())
-
-    # ------------------------------------------------------------------
-    # serving: frozen node states + query-hyperedge attach
-    # ------------------------------------------------------------------
-    def pool_node_states(self) -> np.ndarray:
-        """The frozen value-node states the compiled serving plan folds in.
-
-        A query row attaches as a *new hyperedge*, and the readout is a
-        node→edge mean over the states leaving the last conv layer — unlike
-        query-node formulations there is no per-layer replay to run, so this
-        single ``(num_nodes, hidden)`` matrix is the entire pool-side state.
-        Call in eval mode (dropout off), as :class:`repro.serving`'s
-        ``ModelArtifact.build_model`` does.
-        """
-        return self.node_states().data

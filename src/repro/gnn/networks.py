@@ -13,9 +13,9 @@ Every stack is one :class:`_NodeNetwork` over the edge-wise
 message-passing substrate: a network is a *plan* — a flat sequence of
 row-local steps (projections, activations, dropout) and propagate steps
 (a conv layer plus the :class:`~repro.graph.EdgeView` flavor it consumes).
-``forward``/``embed``/``pool_hidden_states``/``serve_plan`` are
-implemented here once, generically, so the serving plan compiler is
-network-agnostic — attention and gated stacks included.
+``forward``/``embed``/``serve_plan`` are implemented here once,
+generically, so the serving plan compiler is network-agnostic — attention
+and gated stacks included.
 """
 
 from __future__ import annotations
@@ -35,8 +35,7 @@ class _Local(object):
     """Plan step applying row-wise (no graph): activation, dropout, linear.
 
     ``train_only`` marks steps (dropout) that exist only for regularized
-    training forwards — ``embed``, ``pool_hidden_states`` and
-    ``serve_plan`` skip them.
+    training forwards — ``embed`` and ``serve_plan`` skip them.
     """
 
     __slots__ = ("fn", "train_only")
@@ -75,12 +74,12 @@ class _NodeNetwork(nn.Module):
     graph ("the pool") with directed pool→query edges only.  Under that
     topology no message ever flows query→pool, so the pool-side node state
     entering every propagate step is exactly what a pool-only forward
-    produces — request-invariant and cacheable
-    (:meth:`pool_hidden_states`).  The compiled plan
-    (:mod:`repro.serving.compiled`) folds that cache into constants and
-    computes only the B query rows per request, O(B·k·d) independent of
-    pool size; the autograd oracle runs :meth:`forward` on the induced
-    (pool + queries) graph.
+    produces — request-invariant.  The compiled plan
+    (:mod:`repro.serving.compiled`) runs that forward once along
+    :meth:`serve_plan`, folds each state into constants and computes only
+    the B query rows per request, O(B·k·d) independent of pool size; the
+    autograd oracle runs :meth:`forward` on the induced (pool + queries)
+    graph.
     """
 
     activation = staticmethod(ops.relu)
@@ -138,24 +137,6 @@ class _NodeNetwork(nn.Module):
         return int(self._embed_dim)
 
     # -- serving ---------------------------------------------------------
-    def pool_hidden_states(self) -> list[np.ndarray]:
-        """Node states entering each propagate step on the pool, eval-mode.
-
-        ``hiddens[i]`` is the ``(N, d_i)`` state the i-th propagate step of
-        the plan sees when :meth:`forward` runs on the frozen pool
-        (dropout inactive).  Computed once at serving init and folded into
-        the compiled plan.
-        """
-        hiddens = []
-        h = self.x
-        for step in self._steps:
-            if isinstance(step, _Propagate):
-                hiddens.append(h.data)
-                h = step.module.propagate(h, self.graph.edge_view(step.view_kind))
-            elif not step.train_only:
-                h = step.fn(h)
-        return hiddens
-
     def serve_plan(self) -> list:
         """The eval-time step sequence, training-only steps stripped.
 
@@ -263,8 +244,8 @@ class GatedGNN(_NodeNetwork):
     """Projection + GatedGraphConv (GGNN [82]) + linear head.
 
     The plan expands the gated conv into ``num_steps`` propagate steps over
-    the same module, so the serving engine caches the pool's GRU state at
-    every step boundary.
+    the same module, so the compiled serving plan folds in the pool's GRU
+    state at every step boundary.
     """
 
     def __init__(

@@ -42,9 +42,9 @@ class EdgeView:
       a frozen graph and memoized alongside the adjacency-operator cache
       (self loops, where the flavor needs them, are baked in here — no
       per-forward ``tile``/``concat``);
-    * direct construction from ``src``/``dst`` arrays — e.g.
-      :meth:`~repro.graph.Hypergraph.attach_view`'s bipartite
-      node→query-hyperedge view, whose destinations are not its sources.
+    * direct construction from ``src``/``dst`` arrays — e.g. a bipartite
+      view whose destinations are not its sources (``num_nodes`` then
+      counts the destination buckets).
     """
 
     __slots__ = ("src", "dst", "num_nodes", "weight", "_matrix", "_head_edges")

@@ -85,7 +85,7 @@ class Hypergraph:
         return (sp.diags(safe_reciprocal(dv)) @ self.incidence).tocsr()
 
     # ------------------------------------------------------------------
-    # serving: attach views and state serialization
+    # serving: the attached-query oracle and state serialization
     # ------------------------------------------------------------------
     @staticmethod
     def _memberships(member_ids: np.ndarray) -> Tuple[np.ndarray, np.ndarray, int]:
@@ -103,29 +103,6 @@ class Hypergraph:
         pairs = np.unique(np.stack([rows, nodes], axis=1), axis=0)
         return pairs[:, 1], pairs[:, 0], int(member_ids.shape[0])
 
-    def attach_view(self, member_ids: np.ndarray):
-        """Directed node→query-hyperedge aggregation view for B query rows.
-
-        Serving attaches each query row as a *new hyperedge* over the frozen
-        value nodes: the returned :class:`~repro.graph.homogeneous.EdgeView`
-        is bipartite — ``src`` indexes this hypergraph's value-node table,
-        ``dst`` indexes the B query hyperedges (``num_nodes`` = B destination
-        buckets) — with ``1/degree`` weights replicating exactly the
-        ``De^-1 H^T`` readout a training hyperedge gets.  Edges are directed
-        node→query, so value-node states (and every training hyperedge's
-        logits) are invariant to attached queries.  A query with no
-        memberships (all cells missing/UNK) gets no edges and aggregates to
-        the zero state — the same fallback an all-missing training row has.
-        Building the view is O(B·columns), independent of pool size.
-        """
-        src, dst, n_queries = self._memberships(member_ids)
-        if src.size and int(src.max()) >= self.num_nodes:
-            raise ValueError("member id exceeds the frozen value-node count")
-        from repro.graph.homogeneous import EdgeView
-
-        degrees = np.bincount(dst, minlength=n_queries).astype(np.float64)
-        return EdgeView(src, dst, n_queries, weight=1.0 / degrees[dst])
-
     def with_hyperedges(self, member_ids: np.ndarray) -> "Hypergraph":
         """Copy with B query hyperedges appended as new incidence columns.
 
@@ -134,10 +111,12 @@ class Hypergraph:
         original columns only, so value-node states are exactly those of the
         frozen hypergraph, while the :meth:`node_to_edge_operator` readout
         covers the appended columns with their own degrees.  This is the
-        full-graph correctness oracle for incremental hypergraph serving:
-        ``forward()`` on the attached copy reproduces training-hyperedge
-        logits bit-for-bit and scores the queries through the model's
-        ordinary spmm path.
+        hypergraph serving oracle (``compiled=False``) the compiled plan is
+        tested against: ``forward()`` on the attached copy reproduces
+        training-hyperedge logits bit-for-bit and scores the queries through
+        the model's ordinary spmm path.  A query with no memberships (all
+        cells missing/UNK) reads out the zero state, the same fallback an
+        all-missing training row has.
         """
         src, dst, n_queries = self._memberships(member_ids)
         if src.size and int(src.max()) >= self.num_nodes:

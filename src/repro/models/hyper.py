@@ -53,9 +53,5 @@ class HypergraphClassifier(nn.Module):
     def embed(self) -> Tensor:
         return self.network.embed()
 
-    def pool_node_states(self) -> np.ndarray:
-        """Frozen value-node states for compiled serving (see network)."""
-        return self.network.pool_node_states()
-
     def loss(self, y: np.ndarray, mask: Optional[np.ndarray] = None) -> Tensor:
         return nn.cross_entropy(self.forward(), y, mask=mask)

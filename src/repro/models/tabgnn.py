@@ -12,8 +12,8 @@ with the raw-feature projection, and classified by an MLP head.
 The raw features are held as a CSR matrix (the one-hot categorical block
 makes them mostly zeros), so every first-layer projection — one per
 relation plus the raw-feature projection — is a sparse product
-(:func:`~repro.tensor.ops.spmm`), in training and in the serving pool cache
-(:meth:`TabGNN.pool_message_states`) alike.
+(:func:`~repro.tensor.ops.spmm`), in training and in the pool forward the
+compiled serving plan folds in (``compile_multiplex``) alike.
 """
 
 from __future__ import annotations
@@ -120,25 +120,3 @@ class TabGNN(nn.Module):
 
     def forward(self) -> Tensor:
         return self.head(self.embed())
-
-    # -- serving ---------------------------------------------------------
-    def pool_message_states(self) -> list[list[np.ndarray]]:
-        """Per relation, per conv layer: the pool's *transformed* states.
-
-        ``states[r][i]`` is ``linear_i(h_i)`` over the frozen pool — the
-        per-node messages entering relation ``r``'s i-th GCN aggregation.
-        A query row attached to a same-value group aggregates exactly these
-        rows, so the whole pool side of serving is computed once here.
-        """
-        states: list[list[np.ndarray]] = []
-        for convs, (members, means) in zip(self.relation_encoders, self._groups):
-            h = self.x
-            entries: list[np.ndarray] = []
-            for i, conv in enumerate(convs):
-                z = conv.linear(h)
-                entries.append(z.data)
-                h = ops.spmm(members, ops.spmm(means, z))
-                if i < len(convs) - 1:
-                    h = ops.relu(h)
-            states.append(entries)
-        return states

@@ -13,15 +13,16 @@ A dependency-free observability toolkit (stdlib + numpy only):
 * :func:`merge_snapshots` / :func:`render_snapshot_prometheus` —
   cross-process aggregation: merge per-worker registry snapshots
   (counters/histograms summed, gauges tagged per worker) and render the
-  result back to exposition text, so a multi-worker front door serves
-  one fleet-wide ``/metrics`` scrape.
+  result back to exposition text with the same renderer the registry
+  uses, so a multi-worker front door serves one fleet-wide ``/metrics``
+  scrape.
 
 Wired through the hot path by :mod:`repro.serving` (``GET /metrics``,
 engine instrumentation, drift gauges) and available to training
 via ``Trainer(..., registry=...)`` / ``run_pipeline(..., registry=...)``.
 """
 
-from repro.obs.merge import merge_snapshots, render_snapshot_prometheus
+from repro.obs.merge import merge_snapshots
 from repro.obs.registry import (
     DEFAULT_LATENCY_BUCKETS,
     SIZE_BUCKETS,
@@ -30,6 +31,7 @@ from repro.obs.registry import (
     Gauge,
     Histogram,
     MetricsRegistry,
+    render_snapshot_prometheus,
 )
 from repro.obs.tracing import NULL_CONTEXT, Span, Tracer
 

@@ -10,26 +10,25 @@ for the whole fleet:
 * **counters** and **histograms** are *summed* across workers per
   (name, labels) series — the Prometheus-correct aggregation for both
   (histogram bucket counts, ``_sum`` and ``_count`` are all counters);
-* **gauges** are *not* summed by default (a per-worker cache-hit *rate*
-  summed across four workers is meaningless): each worker's gauge series
-  is tagged with that worker's identity labels (``worker="2"``), keeping
-  the per-process values visible and the series honest.  Pass
-  ``gauge_labels=None`` to sum gauges instead (only sensible for
-  extensive gauges like queue depths).
+* **gauges** are *not* summed (a per-worker cache-hit *rate* summed
+  across four workers is meaningless): each worker's gauge series is
+  tagged with that worker's identity labels (``worker="2"``), keeping the
+  per-process values visible and the series honest.
 
-:func:`render_snapshot_prometheus` turns a (merged or single) snapshot
-back into Prometheus text exposition, so the front door can splice worker
-metrics next to its own registry's rendering.
+Each family keeps the ``help`` text its snapshot carries, and
+:func:`~repro.obs.registry.render_snapshot_prometheus` — the renderer
+:meth:`~repro.obs.MetricsRegistry.render_prometheus` uses too — turns the
+merged snapshot back into exposition text, so the front door can splice
+worker metrics next to its own registry's rendering.
 """
 
 from __future__ import annotations
 
 from collections import OrderedDict
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Sequence, Tuple
 
-from repro.obs.registry import _format_value, _render_labels
-
-#: snapshot schema: {name: {"type": kind, "values": [series, ...]}}
+#: snapshot schema:
+#: {name: {"type": kind, "help": text, "values": [series, ...]}}
 Snapshot = Dict[str, Dict[str, object]]
 
 
@@ -45,27 +44,30 @@ def _merge_buckets(
 
 
 def merge_snapshots(
-    snapshots: Sequence[Snapshot],
-    gauge_labels: Optional[Sequence[Dict[str, str]]] = None,
+    snapshots: Sequence[Snapshot], gauge_labels: Sequence[Dict[str, str]],
 ) -> Snapshot:
     """Merge per-process registry snapshots into one fleet-wide snapshot.
 
     ``gauge_labels`` supplies one extra-label dict per snapshot (e.g.
     ``[{"worker": "0"}, {"worker": "1"}]``); gauge series are tagged with
-    it rather than summed.  ``None`` sums gauges like counters.
+    it rather than summed.
     """
-    if gauge_labels is not None and len(gauge_labels) != len(snapshots):
+    if len(gauge_labels) != len(snapshots):
         raise ValueError("gauge_labels must align 1:1 with snapshots")
     merged: "OrderedDict[str, Dict[str, object]]" = OrderedDict()
     for i, snapshot in enumerate(snapshots):
         for name, family in snapshot.items():
             kind = str(family.get("type", "gauge"))
-            out = merged.setdefault(name, {"type": kind, "series": OrderedDict()})
+            out = merged.setdefault(name, {
+                "type": kind,
+                "help": str(family.get("help", "")),
+                "series": OrderedDict(),
+            })
             if out["type"] != kind:
                 continue  # name collision across kinds: first writer wins
             for series in family.get("values", ()):
                 labels = dict(series.get("labels", {}))
-                if kind == "gauge" and gauge_labels is not None:
+                if kind == "gauge":
                     labels.update(gauge_labels[i])
                 key = _series_key(labels)
                 slot = out["series"].get(key)
@@ -104,49 +106,8 @@ def merge_snapshots(
                 })
             else:
                 values.append({"labels": slot["labels"], "value": slot["value"]})
-        result[name] = {"type": family["type"], "values": values}
+        result[name] = {
+            "type": family["type"], "help": family["help"], "values": values,
+        }
     return result
 
-
-def render_snapshot_prometheus(
-    snapshot: Snapshot, help_map: Optional[Dict[str, str]] = None
-) -> str:
-    """Prometheus text exposition (v0.0.4) of a snapshot dict.
-
-    The inverse of living inside one process: a snapshot that crossed a
-    process boundary (worker → front door) no longer has a registry to
-    render it, so this renders the dict directly — same format
-    :meth:`MetricsRegistry.render_prometheus` produces.
-    """
-    help_map = help_map or {}
-    lines: List[str] = []
-    for name, family in snapshot.items():
-        if name in help_map:
-            lines.append(f"# HELP {name} {help_map[name]}")
-        lines.append(f"# TYPE {name} {family['type']}")
-        for series in family.get("values", ()):
-            labels = dict(series.get("labels", {}))
-            if "buckets" in series:
-                for bound, cumulative in series["buckets"]:
-                    bound_text = (
-                        bound if isinstance(bound, str)
-                        else _format_value(float(bound))
-                    )
-                    le = _render_labels(labels, f'le="{bound_text}"')
-                    lines.append(
-                        f"{name}_bucket{le} {_format_value(float(cumulative))}"
-                    )
-                suffix = _render_labels(labels)
-                lines.append(
-                    f"{name}_sum{suffix} {_format_value(float(series['sum']))}"
-                )
-                lines.append(
-                    f"{name}_count{suffix} "
-                    f"{_format_value(float(series['count']))}"
-                )
-            else:
-                suffix = _render_labels(labels)
-                lines.append(
-                    f"{name}{suffix} {_format_value(float(series['value']))}"
-                )
-    return "\n".join(lines) + "\n"

@@ -6,8 +6,12 @@ bucket.  This module is the one place those numbers live:
 
 * :class:`MetricsRegistry` — owns every metric family and one lock.  All
   mutations and reads go through that single lock, so :meth:`snapshot`
-  and :meth:`render_prometheus` observe a *consistent* point-in-time
-  state across every metric (no torn reads between related counters).
+  (and :meth:`render_prometheus`, which renders one) observes a
+  *consistent* point-in-time state across every metric (no torn reads
+  between related counters).
+* :func:`render_snapshot_prometheus` — the one Prometheus text renderer,
+  for this process's snapshot and for worker snapshots merged across
+  processes alike.
 * :class:`Counter` / :class:`Gauge` / :class:`Histogram` — the three
   Prometheus core types.  Histograms use **fixed upper-bound buckets**
   (cumulative in the exposition, per-bucket internally) plus a bounded
@@ -73,6 +77,48 @@ def _render_labels(labels: Dict[str, object], extra: str = "") -> str:
     if extra:
         parts.append(extra)
     return "{" + ",".join(parts) + "}" if parts else ""
+
+
+def render_snapshot_prometheus(snapshot: Dict[str, Dict[str, object]]) -> str:
+    """Prometheus text exposition (v0.0.4) of a registry snapshot.
+
+    The one renderer: :meth:`MetricsRegistry.render_prometheus` renders
+    its own :meth:`~MetricsRegistry.snapshot` through it, and the
+    multi-worker front door renders the worker snapshots it merged
+    (:func:`repro.obs.merge.merge_snapshots`), which crossed a process
+    boundary and have no registry left.
+    """
+    lines: List[str] = []
+    for name, family in snapshot.items():
+        if family.get("help"):
+            lines.append(f"# HELP {name} {family['help']}")
+        lines.append(f"# TYPE {name} {family['type']}")
+        for series in family.get("values", ()):
+            labels = dict(series.get("labels", {}))
+            if "buckets" in series:
+                for bound, cumulative in series["buckets"]:
+                    bound_text = (
+                        bound if isinstance(bound, str)
+                        else _format_value(float(bound))
+                    )
+                    le = _render_labels(labels, f'le="{bound_text}"')
+                    lines.append(
+                        f"{name}_bucket{le} {_format_value(float(cumulative))}"
+                    )
+                suffix = _render_labels(labels)
+                lines.append(
+                    f"{name}_sum{suffix} {_format_value(float(series['sum']))}"
+                )
+                lines.append(
+                    f"{name}_count{suffix} "
+                    f"{_format_value(float(series['count']))}"
+                )
+            else:
+                suffix = _render_labels(labels)
+                lines.append(
+                    f"{name}{suffix} {_format_value(float(series['value']))}"
+                )
+    return "\n".join(lines) + "\n"
 
 
 class _Child:
@@ -449,41 +495,14 @@ class MetricsRegistry:
                             "labels": child.labels_dict,
                             "value": child._read(),
                         })
-                out[name] = {"type": family.kind, "values": series}
+                out[name] = {
+                    "type": family.kind, "help": family.help, "values": series,
+                }
         return out
 
     def render_prometheus(self) -> str:
         """The registry in Prometheus text exposition format (v0.0.4)."""
-        lines: List[str] = []
-        with self._lock:
-            for name, family in self._families.items():
-                if family.help:
-                    lines.append(f"# HELP {name} {family.help}")
-                lines.append(f"# TYPE {name} {family.kind}")
-                for child in family._children.values():
-                    labels = child.labels_dict
-                    if isinstance(child, Histogram):
-                        running = 0
-                        for bound, n in zip(child._bounds, child._counts):
-                            running += n
-                            le = _render_labels(
-                                labels, f'le="{_format_value(bound)}"'
-                            )
-                            lines.append(f"{name}_bucket{le} {running}")
-                        le = _render_labels(labels, 'le="+Inf"')
-                        total = running + child._counts[-1]
-                        lines.append(f"{name}_bucket{le} {total}")
-                        suffix = _render_labels(labels)
-                        lines.append(
-                            f"{name}_sum{suffix} {_format_value(child._sum)}"
-                        )
-                        lines.append(f"{name}_count{suffix} {total}")
-                    else:
-                        suffix = _render_labels(labels)
-                        lines.append(
-                            f"{name}{suffix} {_format_value(child._read())}"
-                        )
-        return "\n".join(lines) + "\n"
+        return render_snapshot_prometheus(self.snapshot())
 
 
 class CounterBank(MutableMapping):

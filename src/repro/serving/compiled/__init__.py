@@ -2,13 +2,16 @@
 
 Training uses the tape-based :class:`~repro.tensor.Tensor` autograd; that
 generality costs the serve path dearly — every op wraps arrays, registers
-backward closures, and allocates. This package traces a fitted scorer's
-query-scoring path **once** and lowers it to a flat
+backward closures, and allocates. Each servable formulation's scorer
+lowers its query path **once**, in ``RowScorer.compile_plan``, to a flat
 :class:`~repro.serving.compiled.plan.InferencePlan`: an ordered list of
-pure-numpy kernel steps over preallocated, reused buffers. Pool-side work
-(neighbor projections, per-value group means, typed edge transforms, the
-hypergraph head) is folded into compile-time constants, so a request
-executes only the query-dependent kernels.
+pure-numpy kernel steps over preallocated, reused buffers, which the
+scorer runs per request as ``plan.run(batch, feeds)``. The
+``compile_*`` functions (:mod:`.lowering`) advance the pool's own state
+through the layers they lower, so pool-side work (neighbor projections,
+per-value group means, typed edge transforms, the hypergraph head) is
+folded into compile-time constants and a request executes only the
+query-dependent kernels.
 
 Plan-step vocabulary (the backend contract)
 -------------------------------------------
@@ -24,10 +27,9 @@ preallocated by the plan. A swap-in backend (e.g. a GPU runtime) replaces
 ``gather_rows``     row gather ``out = table[idx]``
 ``gather_sum``      sum of ``k`` gathered rows per query
 ``gather_sum_add``  ``gather_sum`` plus a per-query base term
-``gather_weighted_sum``  weighted neighbor sum (GCN attach weights)
+``gather_weighted_sum``  weighted gather-sum (GCN attach, hypergraph readout)
 ``gather_where``    gathered row where masked, fallback row otherwise
 ``masked_gather_add``    accumulate gathered rows where masked
-``segment_weighted_rows``  weighted segment-sum over an edge list
 ``gat_attach``      fused multi-head attention attach (one GAT layer)
 ``gru_step``        one GRU cell update (gated networks)
 ``feature_tokens``  per-field scalar → embedding tokens
@@ -43,15 +45,11 @@ through their own scorer.
 """
 
 from .kernels import KERNELS
-from .lowering import InstanceExecutor, compile_instance
-from .executors import (
-    FeatureExecutor,
-    HeteroExecutor,
-    HypergraphExecutor,
-    MultiplexExecutor,
+from .lowering import (
     compile_feature,
     compile_hetero,
     compile_hypergraph,
+    compile_instance,
     compile_multiplex,
 )
 from .plan import InferencePlan, PlanBuilder, PlanStep, UnsupportedPlanError
@@ -62,11 +60,6 @@ __all__ = [
     "PlanBuilder",
     "PlanStep",
     "UnsupportedPlanError",
-    "InstanceExecutor",
-    "FeatureExecutor",
-    "MultiplexExecutor",
-    "HeteroExecutor",
-    "HypergraphExecutor",
     "compile_instance",
     "compile_feature",
     "compile_multiplex",

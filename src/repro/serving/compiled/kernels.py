@@ -135,25 +135,6 @@ def masked_gather_add(
     out += gathered
 
 
-def segment_weighted_rows(
-    out: np.ndarray,
-    table: np.ndarray,
-    bias: np.ndarray,
-    src: np.ndarray,
-    dst: np.ndarray,
-    w: np.ndarray,
-) -> None:
-    """``out[q] = bias + Σ_{e: dst_e = q} w_e · table[src_e]``.
-
-    The hypergraph attach readout: a weighted segment-sum over a
-    variable-length edge list (edge count varies per request, the output
-    buffer does not).
-    """
-    out[...] = bias
-    if src.size:
-        np.add.at(out, dst, table[src] * w[:, None])
-
-
 # ---------------------------------------------------------------------------
 # fused attach-attention (GAT over the fixed k + 1 attach topology)
 # ---------------------------------------------------------------------------
@@ -315,7 +296,6 @@ KERNELS: Dict[str, Callable[..., None]] = {
     "gather_weighted_sum": gather_weighted_sum,
     "gather_where": gather_where,
     "masked_gather_add": masked_gather_add,
-    "segment_weighted_rows": segment_weighted_rows,
     "gat_attach": gat_attach,
     "gru_step": gru_step,
     "feature_tokens": feature_tokens,

@@ -1,16 +1,22 @@
-"""Lower the instance-network query path to a flat kernel plan.
+"""Lower each servable formulation's query path to a flat kernel plan.
 
-``compile_instance`` walks a model-zoo network's
-:meth:`~repro.gnn.networks._NodeNetwork.serve_plan` — the eval-time
-local/propagate step sequence its ``forward`` runs — and emits one
-:class:`~repro.serving.compiled.plan.InferencePlan` per scorer.  Query
-rows attach to the pool by directed pool→query edges (each query's k
-retrieved neighbors plus a self loop), so a query's in-degree is ``k``
-(``k + 1`` with its loop) and every pool degree is untouched.
-The heavy lifting happens at compile time: every request-invariant
-pool-side quantity is pushed through the layer weights once —
+Every ``compile_*`` function takes the formulation's model, freshly built
+by its scorer, and returns the
+:class:`~repro.serving.compiled.plan.InferencePlan` the scorer runs.
+While it walks the layers it lowers, it also advances the pool's own
+state through them (eval mode, no autograd tape), so every
+request-invariant pool-side quantity is pushed through the layer weights
+once and folded into the plan's constants.
 
-* GCN: ``pool_hiddens @ W + b`` plus the pre-scaled attach coefficients
+**instance** — ``compile_instance`` walks a model-zoo network's
+:meth:`~repro.gnn.networks._NodeNetwork.serve_plan`, the eval-time
+local/propagate step sequence its ``forward`` runs.  Query rows attach to
+the pool by directed pool→query edges (each query's k retrieved neighbors
+plus a self loop), so a query's in-degree is ``k`` (``k + 1`` with its
+loop) and every pool degree is untouched.  The pool state entering each
+propagate step folds in as:
+
+* GCN: ``pool_hidden @ W + b`` plus the pre-scaled attach coefficients
   ``deg^-1/2 / sqrt(k+1)`` (the affine map distributes over the weighted
   aggregate exactly);
 * SAGE: the concat weight splits into a self half and a neighbor half
@@ -23,22 +29,39 @@ pool-side quantity is pushed through the layer weights once —
 * GIN aggregates raw states (the nonlinear MLP follows aggregation), so
   only the gather fuses.
 
-Anything the walker does not recognize — an unknown conv family, a GAT
-layer with edge features, a custom local step — raises
-:class:`~repro.serving.compiled.plan.UnsupportedPlanError`.
+**feature** — row-wise: the learned field adjacency is softmax-normalized
+once; tokenize → propagate → readout → head run as five fused kernels.
+
+**multiplex** — per relation and conv layer, the pool group mean of each
+vocabulary value's messages is read off TabGNN's own group-mean operator,
+so a request is a masked gather by the scorer's vocabulary lookup.
+
+**hetero** — per layer and incoming edge type, the typed pool states are
+pre-multiplied by the bias-free edge transform, so each query's single
+value edge is one masked gather-add.
+
+**hypergraph** — the head distributes over the node→hyperedge mean, so
+the value-node states are pre-projected through the head and a request is
+one weighted gather over the query's member ids plus the head bias.
+
+Anything a walker does not recognize — an unknown conv family, a GAT
+layer with edge features, a custom local step, a TabGNN with mean fusion
+— raises :class:`~repro.serving.compiled.plan.UnsupportedPlanError`; the
+engine then refuses to start rather than serve slower.
 """
 
 from __future__ import annotations
 
 import math
-from typing import Optional, Sequence, Tuple
+from typing import List, Optional, Tuple
 
 import numpy as np
 
 from repro import nn
 from repro.gnn.attention import GATConv
 from repro.gnn.conv import GCNConv, GINConv, GatedGraphConv, SAGEConv
-from repro.tensor import ops
+from repro.graph.multiplex import group_mean_operators
+from repro.tensor import Tensor, no_grad, ops
 
 from .plan import InferencePlan, PlanBuilder, UnsupportedPlanError
 
@@ -211,45 +234,24 @@ def _lower_gated(builder, conv, pool_hidden, k, h, width):
     return out, width
 
 
-class InstanceExecutor:
-    """Executes the compiled plan for an instance-graph scorer.
+# ---------------------------------------------------------------------------
+# instance graph (retrieval attach into the frozen pool)
+# ---------------------------------------------------------------------------
+def compile_instance(model, k: int) -> InferencePlan:
+    """Lower a model-zoo network's query path; feeds ``x`` and ``nbr``.
 
-    ``run`` takes the encoded query features and the ``(B, k)`` retrieved
-    neighbor indices.  The returned array is the plan-owned output buffer
-    — stable identity across same-size requests.
-    """
-
-    def __init__(self, plan: InferencePlan, k: int, in_dim: int) -> None:
-        self.plan = plan
-        self._k = int(k)
-        self._in_dim = int(in_dim)
-
-    def run(self, features: np.ndarray, neighbor_idx: np.ndarray) -> np.ndarray:
-        features = np.ascontiguousarray(features, dtype=np.float64)
-        neighbor_idx = np.ascontiguousarray(neighbor_idx, dtype=np.int64)
-        if features.ndim != 2 or features.shape[1] != self._in_dim:
-            raise ValueError(
-                f"features must be (B, {self._in_dim}), got {features.shape}"
-            )
-        if neighbor_idx.shape != (features.shape[0], self._k):
-            raise ValueError(
-                f"neighbor_idx must be ({features.shape[0]}, {self._k})"
-            )
-        feeds = {"x": features, "nbr": neighbor_idx}
-        return self.plan.run(features.shape[0], feeds)
-
-
-def compile_instance(model, graph, pool_hiddens: Sequence[np.ndarray], k: int):
-    """Lower a model-zoo network to an :class:`InstanceExecutor`.
-
-    Raises :class:`UnsupportedPlanError` when the network has no
-    ``serve_plan`` or contains a step the lowerings do not cover.
+    ``x`` is the ``(B, in_dim)`` encoded queries, ``nbr`` their ``(B, k)``
+    retrieved pool rows.  Raises :class:`UnsupportedPlanError` when the
+    network has no ``serve_plan`` or contains a step the lowerings do not
+    cover.
     """
     serve_plan = getattr(model, "serve_plan", None)
     if serve_plan is None:
         raise UnsupportedPlanError(
             f"{type(model).__name__} exposes no serve_plan to lower"
         )
+    model.eval()
+    graph = model.graph
     builder = PlanBuilder()
     builder.feed("x")
     builder.feed("nbr")
@@ -259,36 +261,232 @@ def compile_instance(model, graph, pool_hiddens: Sequence[np.ndarray], k: int):
     )
     h = "x"
     width = int(model.x.shape[1])
-    prop_idx = 0
-    for step in serve_plan():
-        module = getattr(step, "module", None)
-        if module is not None:
-            pool_hidden = np.asarray(pool_hiddens[prop_idx], dtype=np.float64)
-            prop_idx += 1
-            if isinstance(module, GCNConv):
-                h, width = _lower_gcn(builder, module, pool_hidden, k, h)
-            elif isinstance(module, SAGEConv):
-                h, width = _lower_sage(builder, module, pool_hidden, k, h, width)
-            elif isinstance(module, GINConv):
-                h, width = _lower_gin(builder, module, pool_hidden, h, width)
-            elif isinstance(module, GATConv):
-                h, width = _lower_gat(builder, module, pool_hidden, k, h)
-            elif isinstance(module, GatedGraphConv):
-                h, width = _lower_gated(builder, module, pool_hidden, k, h, width)
+    pool = model.x
+    steps = serve_plan()
+    # Only propagate steps read the pool state: it stops at the last one.
+    last = max(
+        (
+            i for i, step in enumerate(steps)
+            if getattr(step, "module", None) is not None
+        ),
+        default=-1,
+    )
+    with no_grad():
+        for i, step in enumerate(steps):
+            module = getattr(step, "module", None)
+            if module is not None:
+                pool_hidden = pool.data
+                if isinstance(module, GCNConv):
+                    h, width = _lower_gcn(builder, module, pool_hidden, k, h)
+                elif isinstance(module, SAGEConv):
+                    h, width = _lower_sage(builder, module, pool_hidden, k, h, width)
+                elif isinstance(module, GINConv):
+                    h, width = _lower_gin(builder, module, pool_hidden, h, width)
+                elif isinstance(module, GATConv):
+                    h, width = _lower_gat(builder, module, pool_hidden, k, h)
+                elif isinstance(module, GatedGraphConv):
+                    h, width = _lower_gated(
+                        builder, module, pool_hidden, k, h, width
+                    )
+                else:
+                    raise UnsupportedPlanError(
+                        f"unsupported conv family: {type(module).__name__}"
+                    )
+                if i < last:
+                    pool = module.propagate(pool, graph.edge_view(step.view_kind))
+                continue
+            fn = getattr(step, "fn", None)
+            if fn is None:
+                raise UnsupportedPlanError(f"unrecognized plan step: {step!r}")
+            if isinstance(fn, nn.Linear):
+                h, width = lower_linear(builder, fn, h)
+            elif isinstance(fn, nn.MLP):
+                h, width = lower_mlp(builder, fn, h, width)
             else:
-                raise UnsupportedPlanError(
-                    f"unsupported conv family: {type(module).__name__}"
-                )
-            continue
-        fn = getattr(step, "fn", None)
-        if fn is None:
-            raise UnsupportedPlanError(f"unrecognized plan step: {step!r}")
-        if isinstance(fn, nn.Linear):
-            h, width = lower_linear(builder, fn, h)
-        elif isinstance(fn, nn.MLP):
-            h, width = lower_mlp(builder, fn, h, width)
-        else:
-            h = lower_activation_fn(builder, fn, h, width)
+                h = lower_activation_fn(builder, fn, h, width)
+            if i < last:
+                pool = fn(pool)
     if h == "x":
         raise UnsupportedPlanError("plan produced no output buffer")
-    return InstanceExecutor(builder.build(h), k, int(model.x.shape[1]))
+    return builder.build(h)
+
+
+# ---------------------------------------------------------------------------
+# feature graph (columns as nodes, row-wise)
+# ---------------------------------------------------------------------------
+def compile_feature(model) -> InferencePlan:
+    """Lower a :class:`~repro.models.FeatureGraphClassifier`; feeds ``x``."""
+    fields = int(model.num_features)
+    embed = int(model.embed_dim)
+    builder = PlanBuilder()
+    builder.feed("x")
+    token_w = builder.const("token_w", model.token_weight.data)
+    token_b = builder.const("token_b", model.token_bias.data)
+    logits = np.asarray(model.edge_logits.data, dtype=np.float64)
+    adj_raw = logits + np.eye(fields) * -1e9
+    adj_raw = adj_raw - adj_raw.max(axis=1, keepdims=True)
+    adj_raw = np.exp(adj_raw)
+    adj = builder.const("adjacency", adj_raw / adj_raw.sum(axis=1, keepdims=True))
+    tok = builder.buffer("tokens", lambda batch: (batch, fields, embed))
+    builder.step("feature_tokens", ("x", token_w, token_b), tok)
+    flat = builder.buffer("scratch_flat", lambda batch: (batch, fields, embed))
+    msg = builder.buffer("scratch_msg", lambda batch: (batch, fields, embed))
+    for linear in model.propagations:
+        w = builder.const(builder.fresh("w"), linear.weight.data)
+        b = builder.const(builder.fresh("b"), linear.bias.data)
+        builder.step("feature_layer", (adj, w, b, flat, msg), tok)
+    score_w = builder.const("readout_w", model.readout.score.weight.data)
+    score_b = builder.const("readout_b", model.readout.score.bias.data)
+    scores = builder.buffer("readout_scores", lambda batch: (batch, fields))
+    pooled = builder.buffer("pooled", lambda batch: (batch, embed))
+    builder.step("attention_readout", (tok, score_w, score_b, scores), pooled)
+    out, _ = lower_mlp(builder, model.head, pooled, embed)
+    return builder.build(out)
+
+
+# ---------------------------------------------------------------------------
+# multiplex (TabGNN value-group lookup)
+# ---------------------------------------------------------------------------
+def compile_multiplex(model) -> InferencePlan:
+    """Lower a :class:`~repro.models.TabGNN` with attention fusion.
+
+    Feeds ``x`` plus, per relation ``r``, ``idx{r}`` (each query's index
+    into the sorted vocabulary) and ``mask{r}`` (whether it matched);
+    unmatched queries keep their own transformed state.  Row ``j`` of a
+    mean table is the group mean that the first pool row holding the
+    ``j``-th smallest value code reads.
+    """
+    if getattr(model, "fusion", None) != "attention":
+        raise UnsupportedPlanError("only attention fusion is lowered")
+    model.eval()
+    hidden = int(model.attention_vector.data.shape[0])
+    relations = len(model.relation_encoders)
+    builder = PlanBuilder()
+    builder.feed("x")
+    emb_names: List[str] = []
+    with no_grad():
+        for rel, (convs, codes) in enumerate(zip(
+            model.relation_encoders, model.graph.value_layers.values()
+        )):
+            members, means = group_mean_operators(codes)
+            values, first = np.unique(codes, return_index=True)
+            readers = members[first[values >= 0]]
+            builder.feed(f"idx{rel}")
+            builder.feed(f"mask{rel}")
+            h = "x"
+            pool = model.x
+            for i, conv in enumerate(convs):
+                width = int(conv.linear.out_features)
+                group_means = means @ conv.linear(pool).data
+                table = readers @ group_means
+                if not table.shape[0]:  # no vocabulary: every query misses
+                    table = np.zeros((1, width))
+                table = builder.const(f"means_{rel}_{i}", table)
+                own, _ = lower_linear(builder, conv.linear, h)
+                nxt = builder.buffer(
+                    builder.fresh(f"rel{rel}_h"), lambda batch, d=width: (batch, d)
+                )
+                builder.step(
+                    "gather_where", (table, f"idx{rel}", f"mask{rel}", own), nxt
+                )
+                if i < len(convs) - 1:
+                    builder.step("relu", (nxt,), nxt)
+                    pool = ops.relu(Tensor(members @ group_means))
+                h = nxt
+            emb_names.append(h)
+    combined = builder.buffer("combined", lambda batch: (batch, 2 * hidden))
+    fused = builder.view(
+        "fused", combined, lambda batch: (slice(None), slice(0, hidden))
+    )
+    selfv = builder.view(
+        "self_h", combined, lambda batch: (slice(None), slice(hidden, 2 * hidden))
+    )
+    att = builder.const("att_vec", model.attention_vector.data)
+    fscores = builder.buffer("fuse_scores", lambda batch: (batch, relations))
+    builder.step("tabgnn_fuse", (att, fscores) + tuple(emb_names), fused)
+    selfp, _ = lower_linear(builder, model.self_proj, "x")
+    builder.step("relu", (selfp,), selfv)
+    out, _ = lower_mlp(builder, model.head, combined, 2 * hidden)
+    return builder.build(out)
+
+
+# ---------------------------------------------------------------------------
+# hetero (typed value-node lookup)
+# ---------------------------------------------------------------------------
+def compile_hetero(network) -> InferencePlan:
+    """Lower a :class:`~repro.gnn.HeteroGNN`'s query update.
+
+    Feeds ``x`` plus, per value-node type ``t`` with edges into the target
+    type, ``idx::t`` (each query's value node, clipped to ≥ 0) and
+    ``mask::t`` (whether it has one).  A query has at most one edge per
+    incoming edge type, so each layer's mean over it is a masked lookup of
+    the pre-transformed value-node state entering that layer.
+    """
+    network.eval()
+    target = network.target_type
+    builder = PlanBuilder()
+    builder.feed("x")
+    src_types: List[str] = []
+    h = "x"
+    layers = list(network.layers)
+    with no_grad():
+        feats = network.node_features()
+        for li, layer in enumerate(layers):
+            self_linear = layer._self_linears[layer._node_types.index(target)]
+            out, _ = lower_linear(builder, self_linear, h)
+            for edge_type, linear in zip(layer._edge_key_order, layer._edge_linears):
+                src_type, _, dst_type = edge_type
+                if dst_type != target:
+                    continue
+                if src_type == target:
+                    raise UnsupportedPlanError(
+                        f"edge type {edge_type} flows {target}→{target}"
+                    )
+                if src_type not in src_types:
+                    src_types.append(src_type)
+                    builder.feed(f"idx::{src_type}")
+                    builder.feed(f"mask::{src_type}")
+                proj = builder.const(
+                    builder.fresh(f"hetero_{src_type}"),
+                    feats[src_type].data @ linear.weight.data,
+                )
+                builder.step(
+                    "masked_gather_add",
+                    (proj, f"idx::{src_type}", f"mask::{src_type}"),
+                    out,
+                )
+            if li < len(layers) - 1:
+                builder.step("relu", (out,), out)
+                feats = {t: ops.relu(s) for t, s in layer(feats).items()}
+            h = out
+    return builder.build(h)
+
+
+# ---------------------------------------------------------------------------
+# hypergraph (query as a new hyperedge)
+# ---------------------------------------------------------------------------
+def compile_hypergraph(model) -> InferencePlan:
+    """Lower a :class:`~repro.models.HypergraphClassifier` attach readout.
+
+    Feeds ``ids``, the ``(B, M)`` value-node ids of each query row's
+    memberships (absent ones clipped to 0), and ``w``, their readout
+    weights (``1/degree`` on present members, 0 elsewhere).  The head
+    linear distributes over that weighted mean, so the entire pool side
+    collapses to one pre-projected ``(N, C)`` table.
+    """
+    network = model.network
+    network.eval()
+    with no_grad():
+        states = network.node_states().data
+    head = network.head
+    out_dim = int(head.out_features)
+    bias = head.bias.data if head.bias is not None else np.zeros(out_dim)
+    builder = PlanBuilder()
+    builder.feed("ids")
+    builder.feed("w")
+    table = builder.const("node_proj", states @ head.weight.data)
+    bias_c = builder.const("head_bias", bias)
+    out = builder.buffer("logits", lambda batch: (batch, out_dim))
+    builder.step("gather_weighted_sum", (table, "ids", "w"), out)
+    builder.step("add", (out, bias_c), out)
+    return builder.build(out)

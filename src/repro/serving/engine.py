@@ -23,9 +23,9 @@ provides (:meth:`~repro.formulations.FittedFormulation.make_scorer`):
   valid predictions; the vocabulary never grows at serve time.
 * **hypergraph** — each unseen row attaches as a *new hyperedge* over the
   frozen value nodes: the artifact carries the incidence structure and the
-  frozen row→value-node encoder, the scorer caches the value-node states
-  once, and a query is the degree-normalized mean of its member nodes'
-  cached states — O(B·n_features·d), independent of the training-table
+  frozen row→value-node encoder, the compiled plan folds the value-node
+  states in once, and a query is the degree-normalized mean of its member
+  nodes' states — O(B·n_features·d), independent of the training-table
   size, with the attached full-graph forward kept as the parity oracle
   (``compiled=False``).
 
@@ -119,9 +119,9 @@ class InferenceEngine:
         forward over the frozen pool with the query rows appended as
         receive-only nodes, O(pool) per request — the reference the
         compiled plan is tested against.  ``self.compiled`` reports
-        whether the plan serves, ``self.incremental`` whether the scorer
-        computes only query rows against cached pool state, and
-        ``self.compile_ms`` the one-time lowering cost.
+        whether the plan serves and ``self.compile_ms`` its one-time build
+        cost: the model build, the pool forward folded into the plan's
+        constants and the lowering.
     index / nprobe:
         Retrieval-index selection for formulations that attach queries by
         pool retrieval (the instance formulation): ``index="exact"`` keeps
@@ -191,7 +191,7 @@ class InferenceEngine:
         make_scorer = artifact.fitted.make_scorer
         scorer_kwargs = {}
         if index is not None or nprobe is not None:
-            # Plug-in formulations keep the original 3-argument make_scorer
+            # Plug-in formulations keep the 2-argument make_scorer
             # signature; only pass index kwargs where they are understood,
             # and refuse explicit requests a formulation cannot honor.
             params = inspect.signature(make_scorer).parameters
@@ -204,8 +204,7 @@ class InferenceEngine:
                     "from a pool; index/nprobe selection does not apply"
                 )
             scorer_kwargs = {"index": index, "nprobe": nprobe}
-        self._scorer = make_scorer(artifact, compiled, self.stats, **scorer_kwargs)
-        self.incremental = bool(self._scorer.incremental)
+        self._scorer = make_scorer(artifact, self.stats, **scorer_kwargs)
         #: live retrieval-index backend ("exact"/"ivf"), or None for
         #: formulations that do not retrieve from a pool.
         self.index: Optional[str] = getattr(self._scorer, "index", None)
@@ -220,7 +219,7 @@ class InferenceEngine:
 
             started = time.perf_counter()
             try:
-                self.compiled = bool(self._scorer.enable_compiled())
+                self._scorer.plan = self._scorer.compile_plan()
             except UnsupportedPlanError as exc:
                 raise UnsupportedPlanError(
                     f"the {artifact.formulation!r} query path does not lower "
@@ -228,6 +227,7 @@ class InferenceEngine:
                     "compiled=False) serves its autograd oracle"
                 ) from exc
             self.compile_ms = (time.perf_counter() - started) * 1000.0
+            self.compiled = self._scorer.plan is not None
         if self._tracer is not None:
             self._scorer.bind_tracer(self._tracer)
             # The scorer's __init__ has now setdefault'ed its own keys

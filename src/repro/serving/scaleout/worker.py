@@ -167,7 +167,6 @@ def boot(
         "formulation": artifact.formulation,
         "network": artifact.network,
         "schema_version": int(artifact.schema_version),
-        "incremental": bool(engine.incremental),
         "compiled": bool(engine.compiled),
         "compile_ms": float(engine.compile_ms),
         "index": engine.index,

@@ -113,6 +113,28 @@ _SHUTDOWN_DRAIN_S = 10.0
 _UNAVAILABLE = {"status": "unavailable", "retriable": True}
 
 
+def _content_length(values: set) -> Optional[int]:
+    """The body length the request's ``Content-Length`` headers give, or
+    ``None`` when they are invalid.
+
+    A length is one run of ASCII digits: ``int()`` alone would take
+    ``"-5"``, ``"+5"`` and ``"1_0"``, and a second, different header would
+    silently win.  ``int()`` still refuses a run longer than the
+    interpreter's digit limit, which the 16 KiB head admits.
+    """
+    if not values:
+        return 0
+    if len(values) > 1:
+        return None
+    (value,) = values
+    if not (value.isascii() and value.isdigit()):
+        return None
+    try:
+        return int(value)
+    except ValueError:
+        return None
+
+
 def _resolve_artifact(path) -> Optional[str]:
     """Resolve a user-supplied artifact path the way ``ModelArtifact.load``
     does (``model`` / ``model.json`` → ``model.npz``); None if missing."""
@@ -726,10 +748,14 @@ class PredictionServer:
             )
             return False
         headers = {}
+        lengths = set()
         for line in lines[1:]:
             name, sep, value = line.partition(":")
             if sep:
-                headers[name.strip().lower()] = value.strip()
+                name, value = name.strip().lower(), value.strip()
+                headers[name] = value
+                if name == "content-length":
+                    lengths.add(value)
         self._start_request(conn, method, path)
         # HTTP/1.1 persists unless told to close; HTTP/1.0 only on request.
         tokens = {
@@ -748,9 +774,8 @@ class PredictionServer:
                 close=True,
             )
             return False
-        try:
-            length = int(headers.get("content-length", 0))
-        except ValueError:
+        length = _content_length(lengths)
+        if length is None:
             self._respond_json(
                 conn, 400, {"error": "invalid Content-Length header"},
                 close=True,
@@ -1169,9 +1194,9 @@ class PredictionServer:
 
     #: health fields reported as the first engine's ``meta`` has them
     _META_FIELDS = (
-        "formulation", "network", "schema_version", "incremental",
-        "compiled", "compile_ms", "index", "nprobe", "index_build_ms",
-        "pool_rows", "artifact",
+        "formulation", "network", "schema_version", "compiled",
+        "compile_ms", "index", "nprobe", "index_build_ms", "pool_rows",
+        "artifact",
     )
 
     def _health_payload(

@@ -59,7 +59,7 @@ class TestGoldenLoads:
         artifact = ModelArtifact.load(FIXTURES / "golden_v2.npz")
         rows = (expected["v2_numerical"], expected["v2_categorical"])
         inc = InferenceEngine(artifact, cache_size=0)
-        assert inc.incremental
+        assert inc.compiled
         oracle = InferenceEngine(artifact, cache_size=0, compiled=False)
         np.testing.assert_allclose(
             inc.predict_batch(*rows), oracle.predict_batch(*rows), atol=1e-8

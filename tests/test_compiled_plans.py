@@ -12,9 +12,11 @@ serving slower; plug-in scorers serve through their own ``score``).
 import numpy as np
 import pytest
 
+from repro import formulations
 from repro.construction.rules import knn_graph
-from repro.datasets import TabularPreprocessor, make_correlated_instances
+from repro.datasets import TabularPreprocessor, make_correlated_instances, make_fraud
 from repro.gnn.networks import build_network
+from repro.pipeline import run_pipeline
 from repro.serving import InferenceEngine, ModelArtifact
 from repro.serving.compiled import (
     KERNELS,
@@ -26,6 +28,10 @@ from repro.serving.compiled import (
 )
 
 NETWORKS = ("gcn", "sage", "gin", "gat", "gated")
+#: every servable formulation, instance once per conv family
+PLAN_CELLS = [("instance", network) for network in NETWORKS] + [
+    (form, "default") for form in formulations.servable() if form != "instance"
+]
 
 
 def _instance_artifact(network, n=60, hidden=16, k=5, seed=0):
@@ -50,6 +56,26 @@ def _instance_artifact(network, n=60, hidden=16, k=5, seed=0):
         pool_x=np.asarray(graph.x, dtype=np.float64),
         pool_edge_index=graph.edge_index.astype(np.int64),
     )
+
+
+@pytest.fixture(scope="module")
+def cell_artifact():
+    """Artifact per (formulation, network) cell: untrained instance
+    networks, briefly trained pipelines for the other formulations."""
+    dataset = make_fraud(n=80, seed=0)
+    cache = {}
+
+    def get(form, network):
+        if (form, network) not in cache:
+            cache[form, network] = (
+                _instance_artifact(network) if form == "instance"
+                else run_pipeline(
+                    dataset, formulation=form, max_epochs=2, seed=0
+                ).export_artifact()
+            )
+        return cache[form, network]
+
+    return get
 
 
 def _rows(artifact, n=12, seed=42):
@@ -98,17 +124,18 @@ class TestPlanMachinery:
         np.testing.assert_allclose(got[:, :2], -1.5)
         np.testing.assert_allclose(got[:, 2:], 0.0)
 
-    def test_every_step_op_is_in_the_kernel_vocabulary(self):
+    @pytest.mark.parametrize(("form", "network"), PLAN_CELLS)
+    def test_every_step_op_is_in_the_kernel_vocabulary(
+        self, form, network, cell_artifact
+    ):
         # The backend contract: whatever a lowering emits, a swap-in
         # backend only needs to implement the KERNELS names.
-        for network in NETWORKS:
-            artifact = _instance_artifact(network)
-            engine = InferenceEngine(artifact, cache_size=0)
-            assert engine.compiled
-            plan = engine._scorer._compiled.plan
-            assert plan.ops, network
-            assert set(plan.ops) <= set(KERNELS), network
-            assert isinstance(plan, InferencePlan)
+        engine = InferenceEngine(cell_artifact(form, network), cache_size=0)
+        assert engine.compiled
+        plan = engine._scorer.plan
+        assert isinstance(plan, InferencePlan)
+        assert plan.ops
+        assert set(plan.ops) <= set(KERNELS)
 
 
 # ---------------------------------------------------------------------------
@@ -138,16 +165,16 @@ class TestPathSelection:
         engine = InferenceEngine(
             _instance_artifact("gcn"), cache_size=0, compiled=False
         )
-        assert not engine.compiled and not engine.incremental
+        assert not engine.compiled
         assert engine.compile_ms == 0.0
-        assert engine._scorer._compiled is None
+        assert engine._scorer.plan is None
 
     def test_unlowerable_model_raises(self):
         class Opaque:
             pass
 
         with pytest.raises(UnsupportedPlanError, match="serve_plan"):
-            compile_instance(Opaque(), None, [], 5)
+            compile_instance(Opaque(), 5)
 
     def test_builtin_scorer_that_cannot_lower_refuses_to_start(
         self, monkeypatch
@@ -175,8 +202,7 @@ class TestPathSelection:
 
         scorer = PluginScorer()
         assert scorer.compile_plan() is None
-        assert scorer.enable_compiled() is False
-        assert scorer._compiled is None
+        assert scorer.plan is None
 
     def test_compiled_gauge_reports_serving_path(self):
         engine = InferenceEngine(_instance_artifact("gcn"))

@@ -151,7 +151,7 @@ def test_compiled_plan_matches_oracle(form, network, dataset, trained):
     compiled = InferenceEngine(artifact, cache_size=0)
     oracle = _oracle_engine(artifact)
     assert compiled.compiled, "registry formulations all lower to plans"
-    assert not oracle.compiled and not oracle.incremental
+    assert not oracle.compiled
     assert compiled.compile_ms > 0.0
     rng = _cell_rng(form, network)
 

@@ -203,7 +203,7 @@ class TestServableRoundTrip:
         # the pool is not moved, so a batch scores like its rows one by one.
         artifact = results[form].export_artifact()
         oracle = InferenceEngine(artifact, cache_size=0, compiled=False)
-        assert not oracle.compiled and not oracle.incremental
+        assert not oracle.compiled
         rows = (dataset.numerical[:6], dataset.categorical[:6])
         probs = oracle.predict_batch(*rows)
         np.testing.assert_allclose(

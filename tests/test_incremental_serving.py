@@ -71,7 +71,7 @@ class TestIncrementalParity:
         dataset, artifact = _instance_artifact(network, metric)
         incremental = InferenceEngine(artifact, cache_size=0)
         oracle = InferenceEngine(artifact, cache_size=0, compiled=False)
-        assert incremental.incremental and not oracle.incremental
+        assert incremental.compiled and not oracle.compiled
         rng = np.random.default_rng(7)
         rows = dataset.numerical[:batch_size] + rng.normal(
             0.0, 0.1, (batch_size, dataset.num_numerical)
@@ -93,13 +93,13 @@ class TestIncrementalParity:
     @pytest.mark.parametrize("network", ALL_NETWORKS)
     def test_auto_mode_picks_incremental_for_every_network(self, network):
         _, artifact = _instance_artifact(network, "euclidean")
-        assert InferenceEngine(artifact, cache_size=0).incremental is True
+        assert InferenceEngine(artifact, cache_size=0).compiled is True
 
     @pytest.mark.parametrize("network", ["gat", "gated"])
     def test_oracle_path_retained_for_explicit_opt_out(self, network):
         dataset, artifact = _instance_artifact(network, "euclidean")
         engine = InferenceEngine(artifact, cache_size=0, compiled=False)
-        assert engine.incremental is False
+        assert engine.compiled is False
         probs = engine.predict_batch(dataset.numerical[:2])
         assert probs.shape == (2, dataset.num_classes)
         np.testing.assert_allclose(probs.sum(axis=1), 1.0, atol=1e-10)
@@ -112,10 +112,9 @@ class TestIncrementalParity:
             builds.append(original(graph)) or builds[-1]
         )
         engine = InferenceEngine(artifact, cache_size=0)
-        model = engine._scorer.model
+        assert len(builds) == 1, "compile_plan builds the model once"
         for i in range(3):
             engine.predict(dataset.numerical[i] + 0.01)
-        assert engine._scorer.model is model
         assert len(builds) == 1, "the compiled path must not rebuild per request"
 
 

@@ -226,7 +226,7 @@ class TestHealthz:
         assert health["formulation"] == "hypergraph"
         assert health["network"] == "hypergraph_gnn"
         assert health["schema_version"] == ARTIFACT_SCHEMA_VERSION
-        assert health["incremental"] is True
+        assert health["compiled"] is True
         assert health["pool_rows"] == dataset.num_instances
 
     def test_health_alias_route(self, server):
@@ -499,17 +499,13 @@ class TestUnavailableStates:
 
 
 class TestConnectionSemantics:
-    def _exchange(self, server, dataset, version, connection=None):
-        """One raw-socket predict: ``(bytes received, closed by the server
-        within a second of answering)``."""
-        body = json.dumps(_good_row(dataset)).encode()
-        head = f"POST /predict {version}\r\nContent-Length: {len(body)}\r\n"
-        if connection:
-            head += f"Connection: {connection}\r\n"
+    def _send(self, server, raw):
+        """Send raw bytes: ``(bytes received, closed by the server within a
+        second of answering)``."""
         with socket.create_connection(
             (server.host, server.port), timeout=1.0
         ) as sock:
-            sock.sendall(head.encode() + b"\r\n" + body)
+            sock.sendall(raw)
             data = b""
             try:
                 while chunk := sock.recv(1 << 16):
@@ -517,6 +513,14 @@ class TestConnectionSemantics:
             except socket.timeout:
                 return data, False
             return data, True
+
+    def _exchange(self, server, dataset, version, connection=None):
+        """One raw-socket predict (see :meth:`_send`)."""
+        body = json.dumps(_good_row(dataset)).encode()
+        head = f"POST /predict {version}\r\nContent-Length: {len(body)}\r\n"
+        if connection:
+            head += f"Connection: {connection}\r\n"
+        return self._send(server, head.encode() + b"\r\n" + body)
 
     def test_http10_request_gets_response_then_close(self, server, dataset):
         data, closed = self._exchange(server, dataset, "HTTP/1.0")
@@ -533,6 +537,36 @@ class TestConnectionSemantics:
             data, closed = self._exchange(server, dataset, version, connection)
             assert data.split(b" ", 2)[1] == b"200"
             assert closed is not stays_open, (version, connection)
+
+    @pytest.mark.parametrize(
+        "lengths",
+        [("-5",), ("+{n}",), ("1_0",), ("0", "{n}"), ("9" * 5000,)],
+        ids=[
+            "negative", "plus-sign", "underscore", "conflicting-duplicate",
+            "past-int-digit-limit",
+        ],
+    )
+    def test_malformed_content_length_is_refused_and_closed(
+        self, server, dataset, lengths
+    ):
+        # Only one run of ASCII digits is a length: anything int() would
+        # also take, or a second header that disagrees, is a 400 that
+        # closes the connection, so the body is never parsed as a request.
+        # A run too long for int() is refused the same way, and the server
+        # goes on answering.
+        body = json.dumps(_good_row(dataset)).encode()
+        head = "POST /predict HTTP/1.1\r\n" + "".join(
+            f"Content-Length: {value.format(n=len(body))}\r\n"
+            for value in lengths
+        )
+        data, closed = self._send(server, head.encode() + b"\r\n" + body)
+        assert data.split(b" ", 2)[1] == b"400"
+        assert b"invalid Content-Length header" in data
+        assert b"Connection: close" in data
+        assert data.count(b"HTTP/1.1 ") == 1, "a second response arrived"
+        assert closed, "the connection must close after the 400"
+        data, _ = self._exchange(server, dataset, "HTTP/1.1", "close")
+        assert data.split(b" ", 2)[1] == b"200"
 
 
 class TestHotReload:

@@ -364,7 +364,7 @@ class TestPredictionServer:
             assert health["artifact"]["formulation"] == "instance"
             # Operators can verify which inference path the deployment runs.
             assert health["network"] == artifact.network
-            assert health["incremental"] is True
+            assert health["compiled"] is True
             assert health["pool_rows"] == artifact.pool_x.shape[0]
 
     def test_healthz_reports_retrieval_index(self, instance_result):

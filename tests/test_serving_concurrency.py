@@ -23,9 +23,11 @@ from concurrent.futures import ThreadPoolExecutor
 import numpy as np
 import pytest
 
+from repro import formulations
 from repro.construction.rules import knn_graph
-from repro.datasets import TabularPreprocessor, make_correlated_instances
+from repro.datasets import TabularPreprocessor, make_correlated_instances, make_fraud
 from repro.gnn.networks import build_network
+from repro.pipeline import run_pipeline
 from repro.serving import InferenceEngine, MicroBatcher, ModelArtifact
 
 
@@ -287,6 +289,21 @@ class TestEngineCacheHammering:
         assert engine.stats["rows"] == 8 * 10
 
 
+@pytest.fixture(scope="module", params=formulations.servable())
+def plan_served(request):
+    """``(artifact, numerical, categorical, reference)`` for one servable
+    formulation: 32 distinct training rows and their served probabilities."""
+    dataset = make_fraud(n=80, seed=0)
+    artifact = run_pipeline(
+        dataset, formulation=request.param, max_epochs=2, seed=0
+    ).export_artifact()
+    numerical, categorical = dataset.numerical[:32], dataset.categorical[:32]
+    reference = InferenceEngine(artifact, cache_size=0).predict_batch(
+        numerical, categorical
+    )
+    return artifact, numerical, categorical, reference
+
+
 class TestCompiledPlanBuffers:
     """Allocation stability and isolation of the compiled serve path.
 
@@ -295,40 +312,44 @@ class TestCompiledPlanBuffers:
     arrays (no allocation on the hot path), and a batch-size change
     triggers exactly one reallocation.  Buffers are per-engine — two
     engines serving the same artifact never share mutable state, which is
-    what makes the engine-lock-per-engine threading model sound.
+    what makes the engine-lock-per-engine threading model sound.  Every
+    servable formulation's plan is held to this.
     """
 
-    def test_output_buffer_stable_across_requests(self, artifact, rows):
+    def test_output_buffer_stable_across_requests(self, plan_served):
+        artifact, numerical, categorical, _ = plan_served
         engine = InferenceEngine(artifact, cache_size=0)
         assert engine.compiled
-        plan = engine._scorer._compiled.plan
-        engine.predict(rows[0])
+        plan = engine._scorer.plan
+        engine.predict(numerical[0], categorical[0])
         assert plan.reallocations == 1
         out_id = id(plan.buffers[plan.output])
         buffer_ids = {name: id(buf) for name, buf in plan.buffers.items()}
         for i in range(1, 12):
-            engine.predict(rows[i])
+            engine.predict(numerical[i], categorical[i])
         assert plan.reallocations == 1  # warm path never reallocates
         assert id(plan.buffers[plan.output]) == out_id
         assert {name: id(buf) for name, buf in plan.buffers.items()} == buffer_ids
 
-    def test_batch_size_change_reallocates_exactly_once(self, artifact, rows):
+    def test_batch_size_change_reallocates_exactly_once(self, plan_served):
+        artifact, numerical, categorical, _ = plan_served
         engine = InferenceEngine(artifact, cache_size=0)
-        plan = engine._scorer._compiled.plan
-        engine.predict_batch(rows[:8])
+        plan = engine._scorer.plan
+        engine.predict_batch(numerical[:8], categorical[:8])
         assert plan.reallocations == 1
-        engine.predict_batch(rows[8:16])  # same batch size: reuse
+        engine.predict_batch(numerical[8:16], categorical[8:16])  # reuse
         assert plan.reallocations == 1
-        engine.predict_batch(rows[:16])  # new batch size: one realloc
+        engine.predict_batch(numerical[:16], categorical[:16])  # one realloc
         assert plan.reallocations == 2
-        engine.predict_batch(rows[16:32])
+        engine.predict_batch(numerical[16:32], categorical[16:32])
         assert plan.reallocations == 2
 
-    def test_concurrent_engines_do_not_share_plan_buffers(self, artifact, rows, reference):
+    def test_concurrent_engines_do_not_share_plan_buffers(self, plan_served):
+        artifact, numerical, categorical, reference = plan_served
         engines = [InferenceEngine(artifact, cache_size=0) for _ in range(2)]
         for engine in engines:
-            engine.predict_batch(rows[:4])
-        plans = [e._scorer._compiled.plan for e in engines]
+            engine.predict_batch(numerical[:4], categorical[:4])
+        plans = [e._scorer.plan for e in engines]
         assert plans[0] is not plans[1]
         ids = [
             {id(buf) for buf in plan.buffers.values()} for plan in plans
@@ -340,9 +361,10 @@ class TestCompiledPlanBuffers:
         def worker(engine):
             try:
                 for i in range(40):
+                    row = i % 16
                     np.testing.assert_allclose(
-                        engine.predict(rows[i % 16]), reference[i % 16],
-                        atol=1e-12,
+                        engine.predict(numerical[row], categorical[row]),
+                        reference[row], atol=1e-12,
                     )
             except Exception as exc:  # noqa: BLE001 - surfaced below
                 errors.append(exc)

@@ -346,6 +346,11 @@ class TestScaleOutE2E:
         assert "repro_http_requests_total" in text
         assert "repro_engine_artifact_generation" in text
         assert "repro_worker_requests_total" in text
+        # Worker families keep their help text across the process boundary.
+        assert (
+            "# HELP repro_engine_rows_total Rows submitted for scoring.\n"
+            "# TYPE repro_engine_rows_total counter\n"
+        ) in text
         if workers:
             assert f"repro_frontdoor_workers {workers}" in text
             assert 'worker="' in text
