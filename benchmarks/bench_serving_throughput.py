@@ -349,8 +349,8 @@ def test_ann_pool_scaling(benchmark):
             ANN.append(
                 {
                     "pool_rows": pool_rows,
-                    "nlist": int(ivf._backend.nlist),
-                    "nprobe": int(ivf._backend.nprobe),
+                    "nlist": int(ivf._ivf.nlist),
+                    "nprobe": int(ivf.nprobe),
                     "exact_p50_ms": exact_p50,
                     "exact_p95_ms": exact_p95,
                     "ivf_p50_ms": ivf_p50,

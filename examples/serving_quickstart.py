@@ -3,9 +3,10 @@
 Demonstrates the full deployment path of ``repro.serving`` with an
 **instance** (retrieval-attach, PET-style) pipeline — the formulation
 whose serving cost is dominated by the attach stage: every query row
-retrieves its k nearest pool rows before propagating.  That retrieval is
-a pluggable :class:`~repro.construction.PoolIndex` backend, and this
-example serves the same artifact through both:
+retrieves its k nearest pool rows before propagating.  That retrieval
+runs through a :class:`~repro.construction.PoolIndex`, which scans the
+pool exactly or searches an IVF index, and this example serves the same
+artifact through both:
 
 1. train an instance pipeline on a synthetic clustered table and export
    a :class:`~repro.serving.ModelArtifact` (weights + frozen
@@ -17,7 +18,7 @@ example serves the same artifact through both:
 3. reload it again behind the **IVF** index
    (``InferenceEngine(artifact, index="ivf", nprobe=8)``): a pure-numpy
    inverted-file index — seeded k-means coarse quantizer with
-   ``nlist≈√N`` cells built once at engine init (``engine.
+   ``nlist = round(√N)`` cells built once at engine init (``engine.
    index_build_ms``), per query only the ``nprobe`` most promising
    cells are scanned and re-ranked exactly — sub-linear in pool size
    (≈7× faster top_k at pool=10⁵, ≈21× at 10⁶, per the serving bench).
@@ -40,11 +41,9 @@ example serves the same artifact through both:
    set drains behind its in-flight work) — the same swap a
    ``workers=0`` server performs with a new in-process engine.
 
-The backend registry is the extension point: a future HNSW/LSH backend
-implements ``build(index)`` / ``top_k(queries, k, exclude=None)``,
-registers via :func:`~repro.construction.register_index_backend`, and
-every engine/server/CLI surface above picks it up with zero edits
-(``repro/construction/retrieval.py`` documents the protocol).
+The artifact's ``config["metric"]`` must be one of the six measures the
+index ranks (``repro/construction/retrieval.py`` lists them); any other
+is refused when the engine boots.
 
 Every other formulation rides the same serving API — swap
 ``formulation="multiplex"`` and the artifact carries value-node

@@ -10,7 +10,9 @@ Four families, matching the taxonomy:
   choice of similarity measures (Table 3's grid).
 * **Learning-based** (Sec. 4.2.3): :mod:`repro.construction.learned` —
   metric-based, neural and direct graph structure learners (Table 4).
-* **Other** (Sec. 4.2.4): retrieval-based neighbor pooling and
+* **Other** (Sec. 4.2.4): retrieval-based neighbor pooling
+  (:mod:`repro.construction.retrieval` — :class:`PoolIndex` links rows
+  into a frozen pool by an exact scan or an IVF index) and
   knowledge-based feature graphs.
 """
 
@@ -41,16 +43,7 @@ from repro.construction.learned import (
     dense_gcn_norm,
     topk_sparsify,
 )
-from repro.construction.retrieval import (
-    INDEX_BACKENDS,
-    ExactIndexBackend,
-    IVFIndexBackend,
-    PoolIndex,
-    cross_similarity,
-    register_index_backend,
-    retrieval_augmented_graph,
-    retrieve_neighbors,
-)
+from repro.construction.retrieval import PoolIndex, retrieval_augmented_graph
 
 __all__ = [
     "SIMILARITIES",
@@ -74,12 +67,6 @@ __all__ = [
     "NeuralGraphLearner",
     "dense_gcn_norm",
     "topk_sparsify",
-    "ExactIndexBackend",
-    "INDEX_BACKENDS",
-    "IVFIndexBackend",
     "PoolIndex",
-    "cross_similarity",
-    "register_index_backend",
     "retrieval_augmented_graph",
-    "retrieve_neighbors",
 ]

@@ -6,177 +6,83 @@ full dataset, retrieval (a) separates the query set from the pool — new
 rows can be linked into a frozen pool at test time — and (b) can restrict
 similarity to a subset of columns (the "label-relevant" view PET uses).
 
-Index backends
---------------
-:class:`PoolIndex` owns the *measure math* (pool-side precomputation,
-query representations, ranking scores) and delegates neighbor *search*
-to a pluggable backend.  A backend implements two methods::
-
-    build(index: PoolIndex) -> backend   # precompute search structures
-    top_k(queries, k, exclude=None) -> (B, k) int64 pool indices
-
-and registers itself under a name in :data:`INDEX_BACKENDS` (or via
-:func:`register_index_backend`).  Everything downstream — the serving
-engine, ``retrieval_augmented_graph``, the CLI ``--index`` flag — selects
-backends purely by name, so a future HNSW/LSH plug-in needs zero engine
-edits: implement the two methods, register the name, pass it through.
-
-Two backends ship:
+Search
+------
+:class:`PoolIndex` ranks a frozen pool by one of six measures: the
+dot-product family (``cosine``/``pearson``/``inner``) and the distance
+family (``euclidean``/``rbf``/``heat``, ranked by the sqrt-free ``−d²``
+surrogate, which orders rows exactly as ``-d`` and ``exp(-γ·d²)`` do).
+Any other measure is refused when the index is built.  ``backend`` picks
+how :meth:`PoolIndex.top_k` searches:
 
 * ``"exact"`` (default) — the O(N·d) scan over the precomputed pool
-  matrix.  This is the oracle every approximate backend is measured
-  against, and the bit-for-bit behavior `PoolIndex` always had.
-* ``"ivf"`` — a pure-numpy IVF (inverted-file) index: a k-means coarse
-  quantizer over the pool's ranking representation splits the pool into
-  ``nlist ≈ √N`` cells; a query scores the ``nprobe`` nearest cells'
-  members exactly (the same sqrt-free ``−d²`` / dot-product surrogate
-  the exact scan ranks by) and re-ranks only those candidates — O(√N·d)
-  per query instead of O(N·d).  Works for the dot-product family
-  (``cosine``/``pearson``/``inner``) and the distance family
-  (``euclidean``/``rbf``/``heat``); exotic measures (anything routed
-  through the generic stacked fallback) silently keep the exact scan,
-  reported via :attr:`PoolIndex.backend_name`.
+  matrix, and the oracle the IVF is measured against
+  (:meth:`PoolIndex.exact_top_k` runs it whatever the backend).
+* ``"ivf"`` — a pure-numpy IVF (inverted-file) index: a seeded k-means
+  coarse quantizer over the pool's ranking representation splits the pool
+  into ``nlist = round(√N)`` cells; a query scores the ``nprobe`` best
+  cells' members exactly (by the same surrogate the exact scan ranks by)
+  and re-ranks only those candidates — O(√N·d) per query instead of
+  O(N·d).
 """
 
 from __future__ import annotations
 
-from typing import Dict, Optional, Tuple
+from typing import Dict, Optional
 
 import numpy as np
 
-from repro.construction.rules import pairwise_similarity
 from repro.graph.homogeneous import Graph
 from repro.graph.utils import symmetrize_edge_index
 
+_DOT_MEASURES = ("cosine", "pearson", "inner")
+_DISTANCE_MEASURES = ("euclidean", "rbf", "heat")
 
-def cross_similarity(
-    queries: np.ndarray,
-    pool: np.ndarray,
-    measure: str = "cosine",
-) -> np.ndarray:
-    """(len(queries), len(pool)) similarity block, computed directly.
-
-    Equivalent in *ranking* to slicing ``pairwise_similarity`` of the
-    stacked matrix, but costs O(B·N) instead of O((B+N)²) — the difference
-    between a serving hot path and a quadratic blow-up as the pool grows.
-    (For ``rbf``/``heat`` the kernel bandwidth is estimated from the cross
-    block rather than the full stack; the kernel is monotone in distance,
-    so top-k neighbor rankings are unchanged.)
-    """
-    return PoolIndex(pool, measure).similarity(queries)
+#: Cells the IVF probes per query unless ``nprobe`` says otherwise.
+_NPROBE = 8
+#: IVF build settings: Lloyd iterations and k-means seed (the build is
+#: deterministic), and rows per chunk of the nearest-centroid pass.  The
+#: k-means trains on at most ``max(4096, 32·nlist)`` sampled pool rows.
+_IVF_ITERS = 10
+_IVF_SEED = 0
+_IVF_CHUNK_ROWS = 65536
 
 
 def _sq_norms(x: np.ndarray) -> np.ndarray:
-    """Row-wise squared norms — the query-side term shared by
-    :meth:`PoolIndex.similarity` and :meth:`PoolIndex._ranking_scores`."""
+    """Row-wise squared norms (distance-family ranking terms and IVF
+    centroids)."""
     return (x**2).sum(axis=1)
 
 
-def _select_top_k(scores: np.ndarray, k: int, size: int) -> np.ndarray:
-    """Best-first (B, k) column indices of a (B, size) score block."""
-    top = np.argpartition(scores, kth=size - k, axis=1)[:, -k:]
-    order = np.argsort(np.take_along_axis(scores, top, axis=1), axis=1)[:, ::-1]
-    return np.take_along_axis(top, order, axis=1)
+class _IVF:
+    """Pure-numpy IVF over a :class:`PoolIndex`: k-means coarse quantizer
+    plus exact re-ranking of the probed cells' members.
 
-
-class ExactIndexBackend:
-    """The full O(N·d) scan — the default backend and recall oracle."""
-
-    name = "exact"
-
-    def build(self, index: "PoolIndex") -> "ExactIndexBackend":
-        self._index = index
-        return self
-
-    def top_k(
-        self, queries: np.ndarray, k: int, exclude: Optional[np.ndarray] = None
-    ) -> np.ndarray:
-        index = self._index
-        scores = index._ranking_scores(queries)
-        if exclude is not None:
-            rows = np.nonzero(exclude >= 0)[0]
-            scores[rows, exclude[rows]] = -np.inf
-        return _select_top_k(scores, k, index.size)
-
-
-class IVFIndexBackend:
-    """Pure-numpy IVF: k-means coarse quantizer + exact cell re-ranking.
-
-    Parameters
-    ----------
-    nlist:
-        Number of k-means cells; default ``round(√N)`` (the standard
-        IVF sizing — probing ``nprobe`` cells then scans ``≈ nprobe·√N``
-        candidates).
-    nprobe:
-        Cells probed per query.  The recall/latency dial: more cells,
-        higher recall, more candidates re-ranked.  Probing automatically
-        widens past ``nprobe`` when the probed cells hold fewer than
-        ``k`` candidates, so results are always valid.
-    iters / sample / seed:
-        Lloyd iterations, training-sample cap, and RNG seed for the
-        (deterministic) k-means build.  Training runs on at most
-        ``sample`` pool rows; the final assignment pass covers the full
-        pool in bounded chunks.
+    ``nprobe`` is the recall/latency dial: more cells probed, higher
+    recall, more candidates re-ranked.  Probing widens past ``nprobe``
+    cells when the probed cells hold fewer than ``k`` candidates, so
+    results are always valid.
     """
 
-    name = "ivf"
-
-    def __init__(
-        self,
-        nlist: Optional[int] = None,
-        nprobe: int = 8,
-        iters: int = 10,
-        sample: Optional[int] = None,
-        seed: int = 0,
-        chunk_rows: int = 65536,
-    ) -> None:
-        if nlist is not None and nlist < 1:
-            raise ValueError("nlist must be >= 1")
-        if nprobe < 1:
-            raise ValueError("nprobe must be >= 1")
-        self._nlist_opt = nlist
+    def __init__(self, index: "PoolIndex", nprobe: int) -> None:
         self.nprobe = int(nprobe)
-        self._iters = int(iters)
-        self._sample = sample
-        self._seed = int(seed)
-        self._chunk_rows = int(chunk_rows)
-        self._fallback: Optional[ExactIndexBackend] = None
-
-    # ------------------------------------------------------------------
-    def build(self, index: "PoolIndex") -> "IVFIndexBackend":
+        if self.nprobe < 1:
+            raise ValueError("nprobe must be >= 1")
         self._index = index
-        if index._pool_t is None:
-            # Exotic measure (generic stacked fallback): no vector-space
-            # ranking representation to quantize — keep the exact scan.
-            self._fallback = ExactIndexBackend().build(index)
-            return self
         pool_repr = index._pool_repr
         n = pool_repr.shape[0]
-        self.nlist = int(
-            np.clip(
-                self._nlist_opt
-                if self._nlist_opt is not None
-                else round(np.sqrt(n)),
-                1,
-                n,
-            )
-        )
-        rng = np.random.default_rng(self._seed)
-        sample = (
-            self._sample
-            if self._sample is not None
-            else min(n, max(4096, 32 * self.nlist))
-        )
+        nlist = int(np.clip(round(np.sqrt(n)), 1, n))
+        rng = np.random.default_rng(_IVF_SEED)
+        sample = min(n, max(4096, 32 * nlist))
         train = (
             pool_repr
             if n <= sample
             else pool_repr[rng.choice(n, size=sample, replace=False)]
         )
-        self._centroids = self._kmeans(train, self.nlist, rng, self._iters)
-        self.nlist = int(self._centroids.shape[0])
-        self._centroid_t = np.ascontiguousarray(self._centroids.T)
-        self._centroid_sq = _sq_norms(self._centroids)
+        centroids = self._kmeans(train, nlist, rng)
+        self.nlist = int(centroids.shape[0])
+        self._centroid_t = np.ascontiguousarray(centroids.T)
+        self._centroid_sq = _sq_norms(centroids)
         # Cells are a Voronoi partition (−d² assignment) for every
         # measure; *probing* must follow the ranking-score family.  For
         # the dot family (inner/cosine/pearson) the best members live in
@@ -184,7 +90,7 @@ class IVFIndexBackend:
         # skip exactly the high-norm cells a MIPS query wants (the
         # spherical-k-means / IVF-for-MIPS idiom).  The distance family
         # probes by −d², matching its −d² re-ranking surrogate.
-        self._dot_probe = index.measure not in index._DISTANCE_MEASURES
+        self._dot_probe = index.measure in _DOT_MEASURES
         assign = self._nearest_cell(pool_repr)
         # CSR-style cell membership: pool rows grouped by cell.
         self._order = np.argsort(assign, kind="stable").astype(np.int64)
@@ -192,27 +98,24 @@ class IVFIndexBackend:
         self._offsets = np.concatenate(
             [[0], np.cumsum(counts)]
         ).astype(np.int64)
-        return self
 
     def _nearest_cell(self, rows: np.ndarray) -> np.ndarray:
         """Chunked nearest-centroid assignment by the ``−d²`` surrogate."""
         out = np.empty(rows.shape[0], dtype=np.int64)
-        for start in range(0, rows.shape[0], self._chunk_rows):
-            chunk = rows[start:start + self._chunk_rows]
+        for start in range(0, rows.shape[0], _IVF_CHUNK_ROWS):
+            chunk = rows[start:start + _IVF_CHUNK_ROWS]
             scores = chunk @ self._centroid_t
             scores *= 2.0
             scores -= self._centroid_sq[None, :]
-            out[start:start + self._chunk_rows] = scores.argmax(axis=1)
+            out[start:start + _IVF_CHUNK_ROWS] = scores.argmax(axis=1)
         return out
 
-    def _kmeans(
-        self, rows: np.ndarray, nlist: int, rng, iters: int
-    ) -> np.ndarray:
+    def _kmeans(self, rows: np.ndarray, nlist: int, rng) -> np.ndarray:
         n, d = rows.shape
         if nlist > n:  # nlist is clipped to pool size, but the k-means
             nlist = n  # training set may be a smaller sample
         centroids = rows[rng.choice(n, size=nlist, replace=False)].copy()
-        for _ in range(iters):
+        for _ in range(_IVF_ITERS):
             self._centroid_t = np.ascontiguousarray(centroids.T)
             self._centroid_sq = _sq_norms(centroids)
             assign = self._nearest_cell(rows)
@@ -232,12 +135,9 @@ class IVFIndexBackend:
             centroids = sums / counts[:, None]
         return centroids
 
-    # ------------------------------------------------------------------
     def top_k(
-        self, queries: np.ndarray, k: int, exclude: Optional[np.ndarray] = None
+        self, queries: np.ndarray, k: int, exclude: Optional[np.ndarray]
     ) -> np.ndarray:
-        if self._fallback is not None:
-            return self._fallback.top_k(queries, k, exclude)
         index = self._index
         q = index._query_repr(queries)
         batch = q.shape[0]
@@ -285,22 +185,6 @@ class IVFIndexBackend:
         return out
 
 
-#: Named backend registry — ``PoolIndex(..., backend="<name>")`` resolves
-#: here, so new backends (HNSW, LSH, …) plug in with zero engine edits.
-INDEX_BACKENDS: Dict[str, type] = {
-    "exact": ExactIndexBackend,
-    "ivf": IVFIndexBackend,
-}
-
-
-def register_index_backend(name: str, factory: type) -> type:
-    """Register a backend class under ``name`` (see module docstring)."""
-    if not name:
-        raise ValueError("backend name must be non-empty")
-    INDEX_BACKENDS[name] = factory
-    return factory
-
-
 class PoolIndex:
     """A frozen retrieval pool with its measure-specific terms precomputed.
 
@@ -308,36 +192,39 @@ class PoolIndex:
     the distance family, row means for ``pearson``) never change between
     serving requests, so they are hoisted to construction time: a request
     only pays for the query-side terms plus one ``(B, N)`` matmul.
-    :func:`cross_similarity` is a one-shot wrapper over this class, so the
-    two are the same math by construction — top-k neighbor sets, ties
-    included, match exactly.
 
-    ``backend`` selects the neighbor-search strategy behind :meth:`top_k`
-    (a name in :data:`INDEX_BACKENDS` — ``"exact"`` | ``"ivf"`` — or a
-    backend instance); ``backend_opts`` are forwarded to the backend's
-    constructor (e.g. ``nprobe=16`` for IVF).  :meth:`similarity` and
-    :meth:`exact_top_k` always use the exact math regardless of backend.
+    ``measure`` is one of the six the module docstring lists (anything
+    else raises ``ValueError``).  ``backend`` is ``"exact"`` (the scan) or
+    ``"ivf"``, whose one setting is ``nprobe``, the cells probed per query
+    (``None``: 8); :attr:`nprobe` reports the live value, ``None`` for the
+    exact scan.  :meth:`exact_top_k` always scans exactly.
     """
-
-    _DISTANCE_MEASURES = ("euclidean", "rbf", "heat")
 
     def __init__(
         self,
         pool: np.ndarray,
         measure: str = "cosine",
-        backend: object = "exact",
-        **backend_opts,
+        backend: str = "exact",
+        nprobe: Optional[int] = None,
     ) -> None:
         pool = np.asarray(pool, dtype=np.float64)
         if pool.ndim != 2 or pool.shape[0] == 0:
             raise ValueError("pool must be a non-empty (N, d) matrix")
+        if measure not in _DOT_MEASURES + _DISTANCE_MEASURES:
+            raise ValueError(
+                f"PoolIndex cannot rank by the measure {measure!r}; choose "
+                f"from {sorted(_DOT_MEASURES + _DISTANCE_MEASURES)}"
+            )
+        if backend not in ("exact", "ivf"):
+            raise ValueError(
+                f"unknown index backend {backend!r}; choose from "
+                "['exact', 'ivf']"
+            )
         self.pool = pool
         self.measure = measure
-        self._pool_t: Optional[np.ndarray] = None
+        self.backend_name = backend
         self._pool_sq: Optional[np.ndarray] = None
-        if measure == "inner":
-            self._pool_t = pool.T
-        elif measure in ("cosine", "pearson"):
+        if measure in ("cosine", "pearson"):
             centered = (
                 pool - pool.mean(axis=1, keepdims=True)
                 if measure == "pearson"
@@ -347,44 +234,35 @@ class PoolIndex:
                 np.linalg.norm(centered, axis=1, keepdims=True), 1e-12
             )
             self._pool_t = (centered / norms).T
-        elif measure in self._DISTANCE_MEASURES:
+        else:
             self._pool_t = pool.T
-            self._pool_sq = _sq_norms(pool)
+            if measure in _DISTANCE_MEASURES:
+                self._pool_sq = _sq_norms(pool)
         # Row-major ranking representation for subset gathers (a no-copy
         # view: _pool_t is itself the transpose of a C-contiguous matrix).
-        self._pool_repr = (
-            None if self._pool_t is None
-            else np.ascontiguousarray(self._pool_t.T)
-        )
-        #: backend search counters (monotonic; approximate backends report
-        #: probe budgets here — the serving engine exports them).
+        self._pool_repr = np.ascontiguousarray(self._pool_t.T)
+        #: IVF search counters (monotonic; the serving engine exports
+        #: them).  The exact scan leaves them at zero.
         self.stats: Dict[str, int] = {
             "queries": 0, "probed_cells": 0, "candidates": 0,
         }
-        if isinstance(backend, str):
-            if backend not in INDEX_BACKENDS:
-                raise ValueError(
-                    f"unknown index backend {backend!r}; choose from "
-                    f"{sorted(INDEX_BACKENDS)}"
-                )
-            backend = INDEX_BACKENDS[backend](**backend_opts)
-        self._backend = backend.build(self)
+        self._ivf = (
+            _IVF(self, _NPROBE if nprobe is None else nprobe)
+            if backend == "ivf" else None
+        )
 
     @property
     def size(self) -> int:
         return int(self.pool.shape[0])
 
     @property
-    def backend_name(self) -> str:
-        """The search strategy actually live behind :meth:`top_k` —
-        an approximate backend that had to fall back reports the scan it
-        delegates to (``/healthz`` surfaces this)."""
-        fallback = getattr(self._backend, "_fallback", None)
-        return fallback.name if fallback is not None else self._backend.name
+    def is_approximate(self) -> bool:
+        return self._ivf is not None
 
     @property
-    def is_approximate(self) -> bool:
-        return self.backend_name != "exact"
+    def nprobe(self) -> Optional[int]:
+        """Cells the IVF probes per query; ``None`` for the exact scan."""
+        return None if self._ivf is None else self._ivf.nprobe
 
     # ------------------------------------------------------------------
     def _query_repr(self, queries: np.ndarray) -> np.ndarray:
@@ -406,55 +284,20 @@ class PoolIndex:
     ) -> np.ndarray:
         """Ranking scores of one query against a pool-row subset.
 
-        Same family as :meth:`_ranking_scores` — the distance measures
+        Same scores as :meth:`_exact_scan` ranks by — the distance measures
         reuse the sqrt-free ``−d²`` surrogate (minus the per-query
         constant, which cannot change a within-query ranking).
         """
         scores = self._pool_repr[subset] @ q_repr_row
-        if self.measure in self._DISTANCE_MEASURES:
+        if self._pool_sq is not None:
             scores *= 2.0
             scores -= self._pool_sq[subset]
         return scores
 
-    def similarity(self, queries: np.ndarray) -> np.ndarray:
-        """(B, N) similarity block against the frozen pool."""
-        queries = np.asarray(queries, dtype=np.float64)
-        measure = self.measure
-        if measure == "inner" or measure in ("cosine", "pearson"):
-            return self._query_repr(queries) @ self._pool_t
-        if measure in self._DISTANCE_MEASURES:
-            sq = _sq_norms(queries)[:, None] + self._pool_sq[None, :]
-            d = np.sqrt(np.maximum(sq - 2.0 * (queries @ self._pool_t), 0.0))
-            if measure == "euclidean":
-                return -d
-            if measure == "heat":
-                return np.exp(-(d**2))
-            positive = d[d > 0]
-            median = np.median(positive) if positive.size else 1.0
-            gamma = 1.0 / max(2.0 * median**2, 1e-12)
-            return np.exp(-gamma * d**2)
-        # Fall back to the generic stacked path for exotic measures.
-        stacked = np.concatenate([queries, self.pool], axis=0)
-        return pairwise_similarity(stacked, measure)[: len(queries), len(queries):]
-
-    def _ranking_scores(self, queries: np.ndarray) -> np.ndarray:
-        """(B, N) scores whose ordering equals :meth:`similarity`'s.
-
-        The distance family ranks by ``-d²`` directly: ``-d`` (euclidean)
-        and ``exp(-γ·d²)`` (rbf/heat, γ > 0) are strictly decreasing in
-        ``d²``, so the sqrt/exp passes buy nothing for top-k and are
-        skipped on the serving hot path.
-        """
-        if self.measure in self._DISTANCE_MEASURES:
-            queries = np.asarray(queries, dtype=np.float64)
-            scores = queries @ self._pool_t
-            scores *= 2.0
-            scores -= _sq_norms(queries)[:, None]
-            scores -= self._pool_sq[None, :]
-            return scores
-        return self.similarity(queries)
-
-    def _validate_k(self, k: int, exclude: Optional[np.ndarray]) -> None:
+    def _check(
+        self, queries: np.ndarray, k: int, exclude: Optional[np.ndarray]
+    ) -> Optional[np.ndarray]:
+        """Validate ``k`` and ``exclude``; ``exclude`` as a flat int64."""
         limit = self.size - (1 if exclude is not None else 0)
         if not 1 <= k <= limit:
             raise ValueError(
@@ -462,6 +305,38 @@ class PoolIndex:
                 f"{' (self-exclusion active)' if exclude is not None else ''}"
                 f", got {k}"
             )
+        if exclude is None:
+            return None
+        exclude = np.asarray(exclude, dtype=np.int64).reshape(-1)
+        if exclude.shape[0] != np.asarray(queries).shape[0]:
+            raise ValueError("exclude must supply one pool row per query")
+        return exclude
+
+    def _exact_scan(
+        self, queries: np.ndarray, k: int, exclude: Optional[np.ndarray]
+    ) -> np.ndarray:
+        """Top-k over the full (B, N) block of ranking scores.
+
+        The dot family's score is its similarity itself.  The distance
+        family ranks by ``-d²`` directly: ``-d`` (euclidean) and
+        ``exp(-γ·d²)`` (rbf/heat, γ > 0) are strictly decreasing in
+        ``d²``, so the sqrt/exp passes buy nothing for top-k.
+        """
+        queries = self._query_repr(queries)
+        scores = queries @ self._pool_t
+        if self._pool_sq is not None:
+            scores *= 2.0
+            scores -= _sq_norms(queries)[:, None]
+            scores -= self._pool_sq[None, :]
+        if exclude is not None:
+            rows = np.nonzero(exclude >= 0)[0]
+            scores[rows, exclude[rows]] = -np.inf
+        size = self.size
+        top = np.argpartition(scores, kth=size - k, axis=1)[:, -k:]
+        order = np.argsort(
+            np.take_along_axis(scores, top, axis=1), axis=1
+        )[:, ::-1]
+        return np.take_along_axis(top, order, axis=1)
 
     def top_k(
         self,
@@ -475,12 +350,10 @@ class PoolIndex:
         int array; ``-1`` masks nothing) — the self-match exclusion the
         transductive kNN path needs when pool rows query their own pool.
         """
-        self._validate_k(k, exclude)
-        if exclude is not None:
-            exclude = np.asarray(exclude, dtype=np.int64).reshape(-1)
-            if exclude.shape[0] != np.asarray(queries).shape[0]:
-                raise ValueError("exclude must supply one pool row per query")
-        return self._backend.top_k(queries, k, exclude)
+        exclude = self._check(queries, k, exclude)
+        if self._ivf is not None:
+            return self._ivf.top_k(queries, k, exclude)
+        return self._exact_scan(queries, k, exclude)
 
     def exact_top_k(
         self,
@@ -488,29 +361,10 @@ class PoolIndex:
         k: int,
         exclude: Optional[np.ndarray] = None,
     ) -> np.ndarray:
-        """The exact-scan answer, regardless of configured backend — the
-        oracle recall@k is measured against."""
-        self._validate_k(k, exclude)
-        scores = self._ranking_scores(queries)
-        if exclude is not None:
-            exclude = np.asarray(exclude, dtype=np.int64).reshape(-1)
-            rows = np.nonzero(exclude >= 0)[0]
-            scores[rows, exclude[rows]] = -np.inf
-        return _select_top_k(scores, k, self.size)
-
-
-def retrieve_neighbors(
-    queries: np.ndarray,
-    pool: np.ndarray,
-    k: int,
-    measure: str = "cosine",
-) -> np.ndarray:
-    """Indices (len(queries), k) of each query's top-k pool rows.
-
-    One-shot convenience wrapper; callers issuing repeated queries against
-    the same pool should build a :class:`PoolIndex` once instead.
-    """
-    return PoolIndex(pool, measure).top_k(queries, k)
+        """The exact-scan answer, regardless of backend — the oracle
+        recall@k is measured against."""
+        exclude = self._check(queries, k, exclude)
+        return self._exact_scan(queries, k, exclude)
 
 
 def retrieval_augmented_graph(
@@ -520,9 +374,9 @@ def retrieval_augmented_graph(
     measure: str = "cosine",
     columns: Optional[np.ndarray] = None,
     y: Optional[np.ndarray] = None,
-    index: object = "exact",
+    index: str = "exact",
     chunk_size: int = 2048,
-    **index_opts,
+    nprobe: Optional[int] = None,
 ) -> Graph:
     """Connect every row to its top-k retrieved rows *inside the pool*.
 
@@ -533,8 +387,9 @@ def retrieval_augmented_graph(
     All retrieval — pool-side included — runs through one
     :class:`PoolIndex` in ``chunk_size``-row query chunks (self-matches
     masked per chunk), so peak memory is O(chunk·N) instead of the dense
-    O(N²) pairwise block, and ``index="ivf"`` drops the per-chunk scan to
-    O(chunk·√N·d) for the pools where N² was never an option.
+    O(N²) pairwise block, and ``index="ivf"`` (probing ``nprobe`` cells)
+    drops the per-chunk scan to O(chunk·√N·d) for the pools where N² was
+    never an option.
     """
     x = np.asarray(x, dtype=np.float64)
     pool_mask = np.asarray(pool_mask, dtype=bool)
@@ -546,7 +401,7 @@ def retrieval_augmented_graph(
     if n_pool <= k:
         raise ValueError("pool must contain more than k rows")
     pool_view = view[pool_idx]
-    pool_index = PoolIndex(pool_view, measure, backend=index, **index_opts)
+    pool_index = PoolIndex(pool_view, measure, backend=index, nprobe=nprobe)
     chunk = max(1, int(chunk_size))
 
     sources: list[np.ndarray] = []

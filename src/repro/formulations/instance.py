@@ -34,16 +34,18 @@ class InstanceScorer(RowScorer):
     scorer is the autograd oracle, the network's forward over the induced
     (pool + queries) graph.
 
-    Retrieval rides a pluggable :class:`~repro.construction.PoolIndex`
-    backend: ``index="exact"`` (default) is the exhaustive scan,
-    ``index="ivf"`` the sub-linear inverted-file index (``nprobe`` probed
-    cells per query).  Selection resolves engine kwarg > artifact config
-    (``config["index"]`` / ``config["nprobe"]``) > exact.  The scorer
-    reports the live backend (``self.index`` — "exact" when an exotic
-    measure forced the fallback), the one-time build cost
-    (``self.index_build_ms``) and, for approximate backends, a sampled
-    recall-vs-exact gauge (``self.retrieval_recall``, refreshed every
-    ``_RECALL_EVERY``-th attach on a few rows of the live batch).
+    Retrieval runs through a :class:`~repro.construction.PoolIndex`
+    ranking by the artifact's ``config["metric"]``: ``index="exact"``
+    (default) is the exhaustive scan, ``index="ivf"`` the sub-linear
+    inverted-file index (``nprobe`` probed cells per query, 8 unless
+    set).  Selection resolves engine kwarg > artifact config
+    (``config["index"]`` / ``config["nprobe"]``) > exact.  A metric the
+    index cannot rank raises ``ValueError`` here, so such an artifact
+    never boots.  The scorer reports the backend (``self.index``), the
+    probe budget the IVF uses (``self.nprobe``; ``None`` for exact), the
+    one-time build cost (``self.index_build_ms``) and, for the IVF, a
+    sampled recall-vs-exact gauge (``self.retrieval_recall``, refreshed
+    every ``_RECALL_EVERY``-th attach on a few rows of the live batch).
     """
 
     #: refresh the sampled recall gauge on every Nth attach stage.
@@ -68,21 +70,18 @@ class InstanceScorer(RowScorer):
         self._k = min(int(fitted.config["k"]), self._pool_x.shape[0])
         if index is None:
             index = str(fitted.config.get("index", "exact"))
-        if nprobe is None and fitted.config.get("nprobe") is not None:
-            nprobe = int(fitted.config["nprobe"])
-        if index == "exact":
-            nprobe = None  # the exhaustive scan has no probe budget
-        backend_opts = {} if nprobe is None else {"nprobe": int(nprobe)}
+        if nprobe is None:
+            nprobe = fitted.config.get("nprobe")
         started = time.perf_counter()
         self._pool_index = PoolIndex(
             self._pool_x,
             measure=str(fitted.config.get("metric", "euclidean")),
             backend=index,
-            **backend_opts,
+            nprobe=nprobe,
         )
         self.index_build_ms = (time.perf_counter() - started) * 1000.0
         self.index = self._pool_index.backend_name
-        self.nprobe = int(nprobe) if nprobe is not None else None
+        self.nprobe = self._pool_index.nprobe
         self.retrieval_recall: Optional[float] = None
         self._attach_tick = 0
         if self._pool_index.is_approximate:

@@ -7,15 +7,18 @@ names, output buffer name, scalar params) plus three name → value tables:
 
 * ``consts`` — compile-time arrays (weights, pre-projected pool states);
 * buffer shape functions — batch-dependent scratch/output buffers,
-  allocated once per batch size and reused across requests;
+  allocated for the current batch size;
 * views — named column windows into a parent buffer (concat-free
   multi-writer outputs, e.g. the multiplex fuse/self-proj halves).
 
 Execution is a straight loop: resolve each step's names against
 ``feeds ∪ consts ∪ buffers`` and call the kernel with the preallocated
-output first.  No Tensors, no graph, no allocation after warmup — a batch
-size change triggers exactly one reallocation (counted, so tests can
-assert allocation stability).
+output first.  No Tensors, no graph.  Buffers are reused across
+consecutive calls of one batch size; each change of batch size
+reallocates every buffer and rebinds the step program (counted in
+``reallocations``, so tests can assert allocation stability).  Traffic
+whose batch size varies from call to call therefore reallocates on most
+calls.
 """
 
 from __future__ import annotations

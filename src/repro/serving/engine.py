@@ -67,6 +67,10 @@ from repro.tensor.ops import softmax_rows
 #: stable order (scorers add their own, e.g. ``unk_values``).
 _STAT_KEYS = ("rows", "cache_hits", "forward_passes", "forward_rows")
 
+#: Stage-span sampling rate: the first request and every 32nd after it are
+#: traced through the per-stage spans.
+_TRACE_EVERY = 32
+
 _STAT_HELP = {
     "rows": "Rows submitted for scoring.",
     "cache_hits": "Rows served from the LRU prediction cache.",
@@ -96,15 +100,12 @@ class InferenceEngine:
     observability:
         ``False`` strips every metric/span and no registry exists.  The
         serving bench uses this to measure instrumentation overhead (kept
-        < 5% of single-row p50).
-    trace_every:
-        Stage-span sampling rate: the first request and every
-        ``trace_every``-th after it are traced through the per-stage
-        spans; the others pay only the (always-on) end-to-end histogram.
-        ``1`` traces everything, ``0`` disables stage tracing.  Sampling
-        is what keeps instrumentation inside the < 5% overhead budget —
-        the request-latency histogram stays exact because it never
-        samples.
+        < 5% of single-row p50).  Stage spans are sampled: the first
+        request and every 32nd (``_TRACE_EVERY``) after it are
+        traced through the per-stage spans; the others pay only the
+        (always-on) end-to-end histogram.  Sampling is what keeps
+        instrumentation inside the < 5% overhead budget — the
+        request-latency histogram stays exact because it never samples.
     compiled:
         ``True`` (default) serves the compiled plan
         (:mod:`repro.serving.compiled`), lowered once at construction:
@@ -132,12 +133,14 @@ class InferenceEngine:
         falling back to exact — so existing artifacts serve bit-identically.
         Explicit values are refused with ``ValueError`` when the
         formulation's scorer takes no ``index`` argument (nothing to
-        retrieve from).  ``self.index`` reports the live backend (exact
-        after an exotic-measure fallback), ``self.nprobe`` the probe
-        budget, ``self.index_build_ms`` the one-time build cost; the
+        retrieve from), and an artifact whose ``config["metric"]`` the
+        index cannot rank raises ``ValueError`` naming it.
+        ``self.index`` reports the backend, ``self.nprobe`` the cells the
+        IVF probes (8 unless set; ``None`` for exact),
+        ``self.index_build_ms`` the one-time build cost; the
         ``repro_engine_retrieval_*`` counters and the sampled
         ``repro_engine_retrieval_recall`` gauge land in the registry when
-        an approximate index serves.
+        the IVF serves.
 
     Notes
     -----
@@ -168,7 +171,6 @@ class InferenceEngine:
         cache_size: int = 256,
         registry: Optional[MetricsRegistry] = None,
         observability: bool = True,
-        trace_every: int = 32,
         compiled: bool = True,
         index: Optional[str] = None,
         nprobe: Optional[int] = None,
@@ -182,12 +184,11 @@ class InferenceEngine:
         self.stats: Dict[str, int] = dict.fromkeys(_STAT_KEYS, 0)
         if observability:
             self.registry = registry if registry is not None else MetricsRegistry()
-            self._init_observability(trace_every)
+            self._init_observability()
         else:
             self.registry = None
             self._tracer = None
             self._request_hists = {}
-            self._trace_every = 0
         make_scorer = artifact.fitted.make_scorer
         scorer_kwargs = {}
         if index is not None or nprobe is not None:
@@ -234,10 +235,9 @@ class InferenceEngine:
             # (unk_values, attach_edges, …); export the complete set.
             self._export_stats()
 
-    def _init_observability(self, trace_every: int) -> None:
+    def _init_observability(self) -> None:
         labels = {"formulation": str(self.artifact.formulation)}
         self._labels = labels
-        self._trace_every = max(0, int(trace_every))
         self._trace_tick = itertools.count()
         self._tracer = Tracer(self.registry, const_labels=labels)
         family = self.registry.histogram(
@@ -318,9 +318,9 @@ class InferenceEngine:
     # ------------------------------------------------------------------
     def _root_span(self, name: str):
         """A sampled request-level span (the first request always traces,
-        then one in every ``trace_every``)."""
-        if self._trace_every and not (
-            next(self._trace_tick) % self._trace_every
+        then one in every ``_TRACE_EVERY``)."""
+        if self._tracer is not None and not (
+            next(self._trace_tick) % _TRACE_EVERY
         ):
             return self._tracer.span(name)
         return NULL_CONTEXT

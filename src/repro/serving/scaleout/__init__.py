@@ -17,7 +17,7 @@ from repro.serving.scaleout.protocol import (
     FrameDecoder,
     ProtocolError,
     encode_frame,
-    recv_frame,
+    read_frames,
     send_frame,
 )
 from repro.serving.scaleout.worker import handle_frame, worker_main
@@ -27,7 +27,7 @@ __all__ = [
     "ProtocolError",
     "encode_frame",
     "handle_frame",
-    "recv_frame",
+    "read_frames",
     "send_frame",
     "worker_main",
 ]

@@ -13,11 +13,10 @@ body on the way in and the JSON response on the way out, so the front
 door never parses rows — it stays an I/O loop, and all row handling CPU
 lands on the workers.
 
-Two consumption styles, matching the two sides of the socket:
-
-* workers block — :func:`recv_frame` reads exactly one frame;
-* the front door multiplexes — it feeds whatever bytes the selector hands
-  it into a :class:`FrameDecoder` and drains complete frames.
+One parser, :class:`FrameDecoder`, reads frames on both sides of the
+socket: the front door multiplexes, feeding it whatever bytes the selector
+hands over; a worker blocks, reading through :func:`read_frames`, which
+feeds it from ``recv`` until the peer hangs up.
 
 Frames are bounded (:data:`MAX_FRAME_BYTES`) so a corrupted length prefix
 fails loudly instead of allocating gigabytes.
@@ -28,7 +27,7 @@ from __future__ import annotations
 import json
 import socket
 import struct
-from typing import Dict, Iterator, Optional, Tuple
+from typing import Dict, Iterator, Tuple
 
 _PREFIX = struct.Struct(">II")
 
@@ -62,44 +61,8 @@ def send_frame(
     sock.sendall(encode_frame(header, body))
 
 
-def _recv_exact(sock: socket.socket, n: int) -> Optional[bytes]:
-    """Read exactly ``n`` bytes, or ``None`` on a clean EOF at a frame
-    boundary (``n`` asked, zero received on the first read)."""
-    chunks = []
-    remaining = n
-    while remaining:
-        chunk = sock.recv(min(remaining, 1 << 20))
-        if not chunk:
-            if remaining == n:
-                return None
-            raise ProtocolError("peer closed mid-frame")
-        chunks.append(chunk)
-        remaining -= len(chunk)
-    return b"".join(chunks)
-
-
-def recv_frame(sock: socket.socket) -> Optional[Frame]:
-    """Blocking read of one frame; ``None`` on clean EOF (peer is gone)."""
-    prefix = _recv_exact(sock, _PREFIX.size)
-    if prefix is None:
-        return None
-    header_len, body_len = _PREFIX.unpack(prefix)
-    if header_len + body_len > MAX_FRAME_BYTES:
-        raise ProtocolError(
-            f"declared frame of {header_len + body_len} bytes exceeds the "
-            f"{MAX_FRAME_BYTES}-byte frame limit"
-        )
-    header_bytes = _recv_exact(sock, header_len) if header_len else b"{}"
-    if header_bytes is None:
-        raise ProtocolError("peer closed between prefix and header")
-    body = _recv_exact(sock, body_len) if body_len else b""
-    if body is None:
-        raise ProtocolError("peer closed between header and body")
-    return json.loads(header_bytes.decode()), body
-
-
 class FrameDecoder:
-    """Incremental frame decoder for the non-blocking front-door side.
+    """Incremental frame decoder.
 
     Feed it whatever ``recv`` returned; iterate :meth:`frames` for every
     complete frame buffered so far.  Partial frames stay buffered across
@@ -131,3 +94,20 @@ class FrameDecoder:
             body = bytes(self._buffer[_PREFIX.size + header_len:total])
             del self._buffer[:total]
             yield json.loads(header_bytes.decode() or "{}"), body
+
+
+def read_frames(sock: socket.socket) -> Iterator[Frame]:
+    """Blocking frame stream over ``sock`` (the worker side).
+
+    Ends when the peer hangs up between frames; a hang-up inside a frame
+    raises :class:`ProtocolError`.
+    """
+    decoder = FrameDecoder()
+    while True:
+        data = sock.recv(1 << 16)
+        if not data:
+            if decoder._buffer:
+                raise ProtocolError("peer closed mid-frame")
+            return
+        decoder.feed(data)
+        yield from decoder.frames()

@@ -43,7 +43,7 @@ from repro.serving.artifact import ModelArtifact
 from repro.serving.engine import InferenceEngine
 from repro.serving.scaleout.protocol import (
     ProtocolError,
-    recv_frame,
+    read_frames,
     send_frame,
 )
 
@@ -272,9 +272,10 @@ def worker_main(
     except OSError:
         return 1
 
+    frames = read_frames(sock)
     while True:
         try:
-            frame = recv_frame(sock)
+            frame = next(frames, None)
         except (ProtocolError, OSError):
             return 1
         if frame is None:  # the server is gone

@@ -13,8 +13,8 @@ artifact loading, and LRU cache eviction/read-only guarantees.
 import numpy as np
 import pytest
 
-from repro.construction.retrieval import PoolIndex, cross_similarity, retrieve_neighbors
-from repro.construction.rules import knn_graph
+from repro.construction.retrieval import PoolIndex
+from repro.construction.rules import knn_graph, pairwise_similarity
 from repro.datasets import TabularPreprocessor, make_correlated_instances
 from repro.gnn.networks import build_network
 from repro.serving import InferenceEngine, ModelArtifact
@@ -125,16 +125,16 @@ class TestPoolIndex:
     @pytest.mark.parametrize(
         "measure", ["cosine", "euclidean", "rbf", "heat", "inner", "pearson"]
     )
-    def test_matches_cross_similarity_and_retrieve_neighbors(self, measure):
+    def test_top_k_matches_stacked_pairwise_similarity(self, measure):
+        # Reference: rank the pool by the dense similarity of the stacked
+        # (queries + pool) matrix, the math PoolIndex precomputes away.
         rng = np.random.default_rng(0)
         pool = rng.normal(size=(40, 6))
         queries = rng.normal(size=(5, 6))
-        index = PoolIndex(pool, measure)
+        stacked = pairwise_similarity(np.concatenate([queries, pool]), measure)
+        reference = np.argsort(-stacked[:5, 5:], axis=1, kind="stable")[:, :4]
         np.testing.assert_array_equal(
-            index.similarity(queries), cross_similarity(queries, pool, measure)
-        )
-        np.testing.assert_array_equal(
-            index.top_k(queries, 4), retrieve_neighbors(queries, pool, 4, measure)
+            PoolIndex(pool, measure).top_k(queries, 4), reference
         )
 
     def test_k_bounds_validated(self):

@@ -1,25 +1,16 @@
-"""Pluggable ``PoolIndex`` backends: exact-scan parity, IVF recall, fallback.
+"""``PoolIndex`` search: exact-scan parity, IVF recall, refused measures.
 
-The exact backend must stay bit-identical to the historical exhaustive
-scan (it is the serving default and the parity oracle everything else is
-measured against); the IVF backend trades an ``nprobe`` budget for
-sub-linear scans and is held to seeded recall@k floors across every
-supported measure.  The backend registry is the extension point a future
-HNSW/LSH plug-in rides — covered by registering a fake backend.
+The exact scan must stay bit-identical to the historical exhaustive scan
+(it is the serving default and the parity oracle the IVF is measured
+against); the IVF trades an ``nprobe`` budget for sub-linear scans and is
+held to seeded recall@k floors across every measure the index ranks.  A
+measure outside those six is refused when the index is built.
 """
 
 import numpy as np
 import pytest
 
-from repro.construction.retrieval import (
-    INDEX_BACKENDS,
-    ExactIndexBackend,
-    IVFIndexBackend,
-    PoolIndex,
-    register_index_backend,
-    retrieval_augmented_graph,
-)
-from repro.construction.rules import SIMILARITIES
+from repro.construction.retrieval import PoolIndex, retrieval_augmented_graph
 
 MEASURES = ["cosine", "euclidean", "rbf", "heat", "inner", "pearson"]
 
@@ -106,19 +97,13 @@ class TestIVFBackend:
             assert len(set(row.tolist())) == 35
             assert row.min() >= 0 and row.max() < 40
 
-    def test_exotic_measure_falls_back_to_exact(self, monkeypatch):
-        def weird(x, **kwargs):
-            return -np.abs(x[:, None, 0] - x[None, :, 0])
-
-        monkeypatch.setitem(SIMILARITIES, "weird", weird)
-        rng = np.random.default_rng(5)
-        pool = rng.normal(size=(30, 4))
-        queries = rng.normal(size=(6, 4))
-        ivf = PoolIndex(pool, "weird", backend="ivf")
-        assert ivf.backend_name == "exact" and not ivf.is_approximate
-        np.testing.assert_array_equal(
-            ivf.top_k(queries, 5), ivf.exact_top_k(queries, 5)
-        )
+    def test_nprobe_reports_the_live_budget(self):
+        pool = _clustered(np.random.default_rng(5), 200)
+        assert PoolIndex(pool, "euclidean", backend="ivf").nprobe == 8
+        assert PoolIndex(pool, "euclidean", backend="ivf", nprobe=3).nprobe == 3
+        assert PoolIndex(pool, "euclidean", nprobe=3).nprobe is None
+        with pytest.raises(ValueError, match="nprobe"):
+            PoolIndex(pool, "euclidean", backend="ivf", nprobe=0)
 
     def test_probe_stats_accumulate(self):
         rng = np.random.default_rng(6)
@@ -139,40 +124,16 @@ class TestIVFBackend:
 
 
 class TestBackendRegistry:
-    def test_builtin_backends_registered(self):
-        assert INDEX_BACKENDS["exact"] is ExactIndexBackend
-        assert INDEX_BACKENDS["ivf"] is IVFIndexBackend
-
     def test_unknown_backend_rejected(self):
         with pytest.raises(ValueError, match="unknown index backend"):
             PoolIndex(np.eye(4), backend="hnsw")
 
-    def test_plugin_backend_needs_no_pool_index_edits(self, monkeypatch):
-        # The protocol a future HNSW/LSH backend implements: build(index)
-        # returning self, top_k(queries, k, exclude) returning (B, k) ids.
-        calls = {}
-
-        class FirstK:
-            name = "first_k"
-
-            def build(self, index):
-                calls["built"] = index
-                return self
-
-            def top_k(self, queries, k, exclude=None):
-                n = np.asarray(queries).shape[0]
-                return np.tile(np.arange(k, dtype=np.int64), (n, 1))
-
-        monkeypatch.delitem(INDEX_BACKENDS, "first_k", raising=False)
-        register_index_backend("first_k", FirstK)
-        index = PoolIndex(np.eye(6), backend="first_k")
-        assert calls["built"] is index
-        assert index.backend_name == "first_k"
-        np.testing.assert_array_equal(
-            index.top_k(np.eye(6)[:2], 3),
-            [[0, 1, 2], [0, 1, 2]],
-        )
-        del INDEX_BACKENDS["first_k"]
+    @pytest.mark.parametrize("backend", ["exact", "ivf"])
+    def test_unrankable_measure_refused_at_construction(self, backend):
+        # knn_graph trains on manhattan, but retrieval cannot rank by it:
+        # the index refuses it up front instead of failing every query.
+        with pytest.raises(ValueError, match="'manhattan'"):
+            PoolIndex(np.eye(4), "manhattan", backend=backend)
 
 
 class TestRetrievalAugmentedGraphChunking:

@@ -21,9 +21,9 @@ import time
 import numpy as np
 import pytest
 
-from repro.datasets import make_fraud
-from repro.formulations import HypergraphFormulation
-from repro.serving import ModelArtifact, PredictionServer
+from repro.datasets import make_correlated_instances, make_fraud
+from repro.formulations import HypergraphFormulation, InstanceFormulation
+from repro.serving import InferenceEngine, ModelArtifact, PredictionServer
 from repro.serving import server as server_module
 from repro.serving.artifact import ARTIFACT_SCHEMA_VERSION
 from repro.serving.scaleout import worker as worker_module
@@ -53,6 +53,32 @@ def artifact(dataset):
         payload_arrays=arrays,
         payload_meta=meta,
     )
+
+
+@pytest.fixture(scope="module")
+def manhattan_path(tmp_path_factory):
+    """A saved instance artifact whose kNN graph was built with the
+    ``manhattan`` metric: ``knn_graph`` trains on it, but retrieval cannot
+    rank unseen rows by it."""
+    dataset = make_correlated_instances(n=60, seed=0)
+    config = {
+        "network": "gcn", "hidden_dim": 8, "out_dim": dataset.num_classes,
+        "k": 5, "metric": "manhattan", "num_layers": 2, "task": dataset.task,
+    }
+    fitted = InstanceFormulation().fit(dataset, None, config)
+    model = fitted.build_model(np.random.default_rng(0))
+    arrays, meta = fitted.artifact_payload()
+    artifact = ModelArtifact(
+        formulation="instance",
+        network=fitted.model_builder,
+        config=config,
+        state_dict=model.state_dict(),
+        preprocessor=fitted.preprocessor,
+        payload_arrays=arrays,
+        payload_meta=meta,
+    )
+    path = tmp_path_factory.mktemp("manhattan") / "model"
+    return str(artifact.save(path))
 
 
 @pytest.fixture(scope="module", params=[0, 1], ids=["workers0", "workers1"])
@@ -707,3 +733,34 @@ class TestHotReload:
             status, payload = _request(srv, "POST", "/admin/reload", body="{}")
             assert status == 400
             assert "source_path" in payload["error"] or "no artifact" in payload["error"]
+
+
+class TestUnrankableMetric:
+    """An artifact whose retrieval metric the pool index cannot rank is
+    refused when an engine boots it, never blamed on the client later."""
+
+    def test_engine_refuses_naming_the_metric(self, manhattan_path):
+        with pytest.raises(ValueError, match="'manhattan'"):
+            InferenceEngine(ModelArtifact.load(manhattan_path))
+
+    def test_server_refuses_to_boot(self, manhattan_path, workers):
+        with pytest.raises(RuntimeError, match="manhattan"):
+            PredictionServer(manhattan_path, workers=workers, port=0)
+
+    def test_reload_answers_500_and_keeps_the_old_generation(
+        self, served, workers, dataset, manhattan_path
+    ):
+        with PredictionServer(served, workers=workers, port=0) as srv:
+            status, payload = _request(
+                srv, "POST", "/admin/reload",
+                body=json.dumps({"artifact": manhattan_path}),
+            )
+            assert status == 500
+            assert "manhattan" in payload["error"]
+            assert payload["artifact_generation"] == 1
+            status, payload = _request(
+                srv, "POST", "/predict", body=json.dumps(_good_row(dataset))
+            )
+            assert status == 200
+            status, health = _request(srv, "GET", "/healthz")
+            assert health["artifact_generation"] == 1

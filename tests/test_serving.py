@@ -386,6 +386,13 @@ class TestPredictionServer:
             assert 'repro_engine_retrieval_recall{formulation="instance"}' in text
             assert "repro_engine_retrieval_probed_cells_total" in text
             assert "repro_engine_retrieval_candidates_total" in text
+        # Without --nprobe the IVF probes its default 8 cells: report them.
+        with PredictionServer(artifact, port=0, index="ivf") as server:
+            with urllib.request.urlopen(server.url + "/healthz", timeout=10) as r:
+                health = json.loads(r.read())
+            assert health["index"] == "ivf"
+            assert health["nprobe"] == 8
+        assert InferenceEngine(artifact, index="ivf").nprobe == 8
         # Default deployments keep (and report) the exact scan.
         with PredictionServer(artifact, port=0) as server:
             with urllib.request.urlopen(server.url + "/healthz", timeout=10) as r:

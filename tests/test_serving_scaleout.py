@@ -11,8 +11,10 @@ load.
 
 import http.client
 import json
+import multiprocessing
 import pathlib
 import socket
+import sys
 import threading
 
 import numpy as np
@@ -23,11 +25,12 @@ from repro.obs import MetricsRegistry, merge_snapshots, render_snapshot_promethe
 from repro.pipeline import run_pipeline
 from repro.serving import InferenceEngine, ModelArtifact, PredictionServer
 from repro.serving.npz_mmap import load_npz_mmap
+from repro.serving.scaleout import worker_main
 from repro.serving.scaleout.protocol import (
     FrameDecoder,
     ProtocolError,
     encode_frame,
-    recv_frame,
+    read_frames,
     send_frame,
 )
 
@@ -40,7 +43,7 @@ class TestProtocol:
         a, b = socket.socketpair()
         try:
             send_frame(a, {"op": "predict", "id": 7}, b"payload-bytes")
-            header, body = recv_frame(b)
+            header, body = next(read_frames(b))
             assert header == {"op": "predict", "id": 7}
             assert body == b"payload-bytes"
         finally:
@@ -51,7 +54,7 @@ class TestProtocol:
         a, b = socket.socketpair()
         a.close()
         try:
-            assert recv_frame(b) is None
+            assert next(read_frames(b), None) is None
         finally:
             b.close()
 
@@ -62,7 +65,7 @@ class TestProtocol:
             a.sendall(frame[: len(frame) - 3])
             a.close()
             with pytest.raises(ProtocolError):
-                recv_frame(b)
+                next(read_frames(b))
         finally:
             b.close()
 
@@ -261,6 +264,40 @@ class TestArtifactMmapLoad:
     def test_bad_mmap_mode_rejected(self, artifact_paths):
         with pytest.raises(ValueError):
             ModelArtifact.load(artifact_paths[0], mmap_mode="r+")
+
+
+class TestWorkerFrameLoop:
+    @pytest.mark.parametrize(
+        "tail, code",
+        [
+            (b"", 0),
+            (encode_frame({"op": "health"})[:-3], 1),
+            (b"\xff" * 8, 1),
+        ],
+        ids=["clean-eof", "mid-frame-eof", "oversized-length"],
+    )
+    def test_exit_code_on_hang_up(self, artifact_paths, tail, code):
+        # A forked worker answers every whole frame it was sent, then
+        # exits 0 when the server hangs up between frames, and 1 when it
+        # hangs up inside a frame or declares a length past the limit.
+        parent, child = socket.socketpair()
+        proc = multiprocessing.get_context("fork").Process(
+            target=lambda: sys.exit(worker_main(child, str(artifact_paths[0])))
+        )
+        proc.start()
+        child.close()
+        try:
+            send_frame(parent, {"op": "health", "id": 1})
+            parent.sendall(tail)
+            parent.shutdown(socket.SHUT_WR)
+            proc.join(timeout=60)
+            assert proc.exitcode == code
+            replies = [header["op"] for header, _ in read_frames(parent)]
+            assert replies == ["ready", "health_result"]
+        finally:
+            parent.close()
+            if proc.is_alive():
+                proc.kill()
 
 
 @pytest.fixture(params=[0, 1, 2], ids=["workers0", "workers1", "workers2"])
