@@ -23,7 +23,6 @@ edits to either — implement the protocol, call :func:`register`.
 from __future__ import annotations
 
 import abc
-import functools
 from typing import Callable, Dict, Optional, Tuple
 
 import numpy as np
@@ -32,31 +31,6 @@ from repro import nn
 from repro.datasets.preprocessing import TabularPreprocessor
 from repro.datasets.tabular import TabularDataset
 from repro.obs.tracing import NULL_CONTEXT, Tracer
-
-
-def _timed_score(inner):
-    """Wrap a scorer's ``score`` in a ``"score"`` tracing span.
-
-    Applied once per concrete scorer class by
-    :meth:`RowScorer.__init_subclass__`, so *every* formulation — current
-    and future plug-ins — gets its scorer boundary timed for free; the
-    finer stages (encode / attach / plan_execute) are the formulation's own
-    :meth:`RowScorer.stage` calls nested inside this span.
-    """
-
-    @functools.wraps(inner)
-    def score(self, numerical, categorical):
-        tracer = self._tracer
-        # Stage spans record only inside a sampled request — when the
-        # engine opened a root span on this thread.  Unsampled requests
-        # skip all span machinery (the < 5% overhead budget).
-        if tracer is None or tracer.current() is None:
-            return inner(self, numerical, categorical)
-        with tracer.span("score"):
-            return inner(self, numerical, categorical)
-
-    score._obs_timed = True
-    return score
 
 
 class RowScorer(abc.ABC):
@@ -69,12 +43,12 @@ class RowScorer(abc.ABC):
     ``None``.
 
     Observability: the engine binds its :class:`~repro.obs.Tracer` via
-    :meth:`bind_tracer` after construction; on requests the engine samples
-    for tracing, ``score`` is automatically timed as the ``"score"``
-    stage, and implementations wrap their internal phases in
-    ``with self.stage("encode"): ...`` — a no-op (reusable null context)
-    when no tracer is bound or the request is unsampled, so scorers stay
-    usable without any observability wiring.
+    :meth:`bind_tracer` after construction and, on requests it samples
+    for tracing, opens the ``"score"`` stage around each ``score`` call;
+    implementations wrap their internal phases in
+    ``with self.stage("encode"): ...``, which nests inside it — a no-op
+    (reusable null context) when no tracer is bound or the request is
+    unsampled, so scorers stay usable without any observability wiring.
     """
 
     #: class-level default — unbound scorers trace nothing
@@ -83,12 +57,6 @@ class RowScorer(abc.ABC):
     #: :meth:`compile_plan` built; ``None`` on the oracle and on plug-in
     #: scorers that serve through ``score``
     plan = None
-
-    def __init_subclass__(cls, **kwargs) -> None:
-        super().__init_subclass__(**kwargs)
-        fn = cls.__dict__.get("score")
-        if fn is not None and not getattr(fn, "_obs_timed", False):
-            cls.score = _timed_score(fn)
 
     def bind_tracer(self, tracer: Optional[Tracer]) -> None:
         """Attach the engine's tracer; stages recorded from now on."""

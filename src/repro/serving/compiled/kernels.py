@@ -3,11 +3,10 @@
 Every kernel is a plain function ``kernel(out, *arrays, **params)`` that
 writes its result into the preallocated ``out`` buffer — no
 :class:`repro.tensor.Tensor` wrappers, no backward-closure registration,
-no per-op output allocation.  ``KERNELS`` maps the step-vocabulary names
-an :class:`~repro.serving.compiled.InferencePlan` speaks to these
-implementations; a swap-in backend (a torch executor, say) implements the
-same names against its own buffer type and can execute any plan the
-lowerings in this package emit.
+no per-op output allocation.  A step of an
+:class:`~repro.serving.compiled.InferencePlan` holds the kernel it calls,
+so the functions defined here are the whole vocabulary a lowering emits;
+``plan.ops`` lists a plan's kernels by name.
 
 Buffer discipline: step *outputs* always land in plan-owned preallocated
 buffers (that is what makes execution allocation-stable across requests);
@@ -22,8 +21,6 @@ round-off — the 1e-8 parity the formulation matrix enforces.
 """
 
 from __future__ import annotations
-
-from typing import Callable, Dict
 
 import numpy as np
 
@@ -278,28 +275,3 @@ def tabgnn_fuse(
     for rel, h in enumerate(embs):
         out += scores[:, rel : rel + 1] * h
 
-
-#: The step vocabulary — op name → numpy implementation.  Lowerings emit
-#: only these names; alternate executors implement the same table.
-KERNELS: Dict[str, Callable[..., None]] = {
-    "linear": linear,
-    "add": add,
-    "add_scaled": add_scaled,
-    "relu": relu,
-    "elu": elu,
-    "leaky_relu": leaky_relu,
-    "tanh": tanh,
-    "sigmoid": sigmoid,
-    "gather_rows": gather_rows,
-    "gather_sum": gather_sum,
-    "gather_sum_add": gather_sum_add,
-    "gather_weighted_sum": gather_weighted_sum,
-    "gather_where": gather_where,
-    "masked_gather_add": masked_gather_add,
-    "gat_attach": gat_attach,
-    "gru_step": gru_step,
-    "feature_tokens": feature_tokens,
-    "feature_layer": feature_layer,
-    "attention_readout": attention_readout,
-    "tabgnn_fuse": tabgnn_fuse,
-}

@@ -1,9 +1,10 @@
 """Lower each servable formulation's query path to a flat kernel plan.
 
 Every ``compile_*`` function takes the formulation's model, freshly built
-by its scorer, and returns the
-:class:`~repro.serving.compiled.plan.InferencePlan` the scorer runs.
-While it walks the layers it lowers, it also advances the pool's own
+by its scorer, and builds the
+:class:`~repro.serving.compiled.plan.InferencePlan` the scorer runs: its
+feeds, constants and buffers, one step per :mod:`.kernels` call, then its
+output.  While it walks the layers it lowers, it also advances the pool's own
 state through them (eval mode, no autograd tape), so every
 request-invariant pool-side quantity is pushed through the layer weights
 once and folded into the plan's constants.
@@ -63,59 +64,61 @@ from repro.gnn.conv import GCNConv, GINConv, GatedGraphConv, SAGEConv
 from repro.graph.multiplex import group_mean_operators
 from repro.tensor import Tensor, no_grad, ops
 
-from .plan import InferencePlan, PlanBuilder, UnsupportedPlanError
+from . import kernels
+from .plan import InferencePlan, UnsupportedPlanError
 
-#: plain-function activations a ``_Local`` step may carry → kernel op
-_ACTIVATION_OPS = {
-    ops.relu: "relu",
-    ops.elu: "elu",
-    ops.leaky_relu: "leaky_relu",
-    ops.tanh: "tanh",
-    ops.sigmoid: "sigmoid",
+#: plain-function activations a ``_Local`` step may carry → their kernel
+_ACTIVATIONS = {
+    ops.relu: kernels.relu,
+    ops.elu: kernels.elu,
+    ops.leaky_relu: kernels.leaky_relu,
+    ops.tanh: kernels.tanh,
+    ops.sigmoid: kernels.sigmoid,
 }
 
 
 def lower_linear(
-    builder: PlanBuilder, linear: nn.Linear, h: str, out: Optional[str] = None
+    plan: InferencePlan, linear: nn.Linear, h: str, out: Optional[str] = None
 ) -> Tuple[str, int]:
     """Emit ``out = h @ W (+ b)``; returns (buffer name, width)."""
     width = int(linear.out_features)
-    w = builder.const(builder.fresh("w"), linear.weight.data)
+    w = plan.const(plan.fresh("w"), linear.weight.data)
     inputs = (h, w)
     if linear.bias is not None:
-        inputs = (h, w, builder.const(builder.fresh("b"), linear.bias.data))
+        inputs = (h, w, plan.const(plan.fresh("b"), linear.bias.data))
     if out is None:
-        out = builder.buffer(builder.fresh("lin"), lambda batch, d=width: (batch, d))
-    builder.step("linear", inputs, out)
+        out = plan.buffer(plan.fresh("lin"), lambda batch, d=width: (batch, d))
+    plan.step(kernels.linear, inputs, out)
     return out, width
 
 
-def lower_activation_fn(builder: PlanBuilder, fn, h: str, width: int) -> str:
+def lower_activation_fn(plan: InferencePlan, fn, h: str, width: int) -> str:
     """Emit a named activation on ``h`` (in place unless ``h`` is a feed)."""
-    op = _ACTIVATION_OPS.get(fn)
-    if op is None:
+    kernel = _ACTIVATIONS.get(fn)
+    if kernel is None:
         raise UnsupportedPlanError(f"unsupported local step: {fn!r}")
     if h == "x":  # never mutate the caller-owned feature feed
-        out = builder.buffer(builder.fresh("act"), lambda batch, d=width: (batch, d))
-        builder.step(op, (h,), out)
+        out = plan.buffer(plan.fresh("act"), lambda batch, d=width: (batch, d))
+        plan.step(kernel, (h,), out)
         return out
-    builder.step(op, (h,), h)
+    plan.step(kernel, (h,), h)
     return h
 
 
-def lower_mlp(builder: PlanBuilder, mlp: nn.MLP, h: str, width: int) -> Tuple[str, int]:
+def lower_mlp(plan: InferencePlan, mlp: nn.MLP, h: str, width: int) -> Tuple[str, int]:
     """Lower an :class:`repro.nn.MLP` layer by layer (eval mode)."""
     for layer in mlp.net:
         if isinstance(layer, nn.Linear):
-            h, width = lower_linear(builder, layer, h)
+            h, width = lower_linear(plan, layer, h)
         elif isinstance(layer, nn.Activation):
             if layer.name == "identity":
                 continue
-            if layer.name not in ("relu", "elu", "leaky_relu", "tanh", "sigmoid"):
+            kernel = getattr(kernels, layer.name, None)
+            if kernel not in _ACTIVATIONS.values():
                 raise UnsupportedPlanError(
                     f"unsupported MLP activation: {layer.name!r}"
                 )
-            builder.step(layer.name, (h,), h)
+            plan.step(kernel, (h,), h)
         elif isinstance(layer, nn.Dropout):
             continue  # eval mode: identity
         else:
@@ -123,77 +126,75 @@ def lower_mlp(builder: PlanBuilder, mlp: nn.MLP, h: str, width: int) -> Tuple[st
     return h, width
 
 
-def _lower_gcn(builder, conv, pool_hidden, k, h):
+def _lower_gcn(plan, conv, pool_hidden, k, h):
     width = int(conv.linear.out_features)
     proj = pool_hidden @ conv.linear.weight.data
     if conv.linear.bias is not None:
         proj = proj + conv.linear.bias.data
-    pool_proj = builder.const(builder.fresh("gcn_pool"), proj)
-    selfp, _ = lower_linear(builder, conv.linear, h)
-    attw = builder.buffer(builder.fresh("gcn_w"), lambda batch, kk=k: (batch, kk))
-    builder.step("gather_rows", ("gcn_attach_w", "nbr"), attw)
-    agg = builder.buffer(builder.fresh("gcn_agg"), lambda batch, d=width: (batch, d))
-    builder.step("gather_weighted_sum", (pool_proj, "nbr", attw), agg)
-    out = builder.buffer(builder.fresh("h"), lambda batch, d=width: (batch, d))
-    builder.step("add_scaled", (agg, selfp), out, alpha=1.0 / (k + 1.0))
+    pool_proj = plan.const(plan.fresh("gcn_pool"), proj)
+    selfp, _ = lower_linear(plan, conv.linear, h)
+    attw = plan.buffer(plan.fresh("gcn_w"), lambda batch, kk=k: (batch, kk))
+    plan.step(kernels.gather_rows, ("gcn_attach_w", "nbr"), attw)
+    agg = plan.buffer(plan.fresh("gcn_agg"), lambda batch, d=width: (batch, d))
+    plan.step(kernels.gather_weighted_sum, (pool_proj, "nbr", attw), agg)
+    out = plan.buffer(plan.fresh("h"), lambda batch, d=width: (batch, d))
+    plan.step(kernels.add_scaled, (agg, selfp), out, alpha=1.0 / (k + 1.0))
     return out, width
 
 
-def _lower_sage(builder, conv, pool_hidden, k, h, width):
+def _lower_sage(plan, conv, pool_hidden, k, h, width):
     out_width = int(conv.linear.out_features)
     weight = conv.linear.weight.data
     if weight.shape[0] != 2 * width:
         raise UnsupportedPlanError("SAGE weight width does not match input")
-    w_self = builder.const(builder.fresh("sage_self_w"), weight[:width])
-    b = builder.const(builder.fresh("b"), conv.linear.bias.data)
-    pool_proj = builder.const(
-        builder.fresh("sage_pool"), (pool_hidden @ weight[width:]) / float(k)
+    w_self = plan.const(plan.fresh("sage_self_w"), weight[:width])
+    b = plan.const(plan.fresh("b"), conv.linear.bias.data)
+    pool_proj = plan.const(
+        plan.fresh("sage_pool"), (pool_hidden @ weight[width:]) / float(k)
     )
-    selfp = builder.buffer(
-        builder.fresh("sage_own"), lambda batch, d=out_width: (batch, d)
-    )
-    builder.step("linear", (h, w_self, b), selfp)
-    out = builder.buffer(builder.fresh("h"), lambda batch, d=out_width: (batch, d))
-    builder.step("gather_sum_add", (selfp, pool_proj, "nbr"), out)
+    selfp = plan.buffer(plan.fresh("sage_own"), lambda batch, d=out_width: (batch, d))
+    plan.step(kernels.linear, (h, w_self, b), selfp)
+    out = plan.buffer(plan.fresh("h"), lambda batch, d=out_width: (batch, d))
+    plan.step(kernels.gather_sum_add, (selfp, pool_proj, "nbr"), out)
     return out, out_width
 
 
-def _lower_gin(builder, conv, pool_hidden, h, width):
-    pool_state = builder.const(builder.fresh("gin_pool"), pool_hidden)
-    agg = builder.buffer(builder.fresh("gin_agg"), lambda batch, d=width: (batch, d))
-    builder.step("gather_sum", (pool_state, "nbr"), agg)
-    pre = builder.buffer(builder.fresh("gin_pre"), lambda batch, d=width: (batch, d))
-    builder.step("add_scaled", (agg, h), pre, alpha=1.0 + float(conv.eps.data[0]))
-    return lower_mlp(builder, conv.mlp, pre, width)
+def _lower_gin(plan, conv, pool_hidden, h, width):
+    pool_state = plan.const(plan.fresh("gin_pool"), pool_hidden)
+    agg = plan.buffer(plan.fresh("gin_agg"), lambda batch, d=width: (batch, d))
+    plan.step(kernels.gather_sum, (pool_state, "nbr"), agg)
+    pre = plan.buffer(plan.fresh("gin_pre"), lambda batch, d=width: (batch, d))
+    plan.step(kernels.add_scaled, (agg, h), pre, alpha=1.0 + float(conv.eps.data[0]))
+    return lower_mlp(plan, conv.mlp, pre, width)
 
 
-def _lower_gat(builder, conv, pool_hidden, k, h):
+def _lower_gat(plan, conv, pool_hidden, k, h):
     if conv.edge_proj is not None:
         raise UnsupportedPlanError("GAT layers with edge features are not lowered")
     heads, out_features = int(conv.num_heads), int(conv.out_features)
-    weight = builder.const(builder.fresh("gat_w"), conv.weight.data)
-    att_src = builder.const(builder.fresh("gat_as"), conv.att_src.data)
-    att_dst = builder.const(builder.fresh("gat_ad"), conv.att_dst.data)
-    bias = builder.const(builder.fresh("gat_b"), conv.bias.data)
+    weight = plan.const(plan.fresh("gat_w"), conv.weight.data)
+    att_src = plan.const(plan.fresh("gat_as"), conv.att_src.data)
+    att_dst = plan.const(plan.fresh("gat_ad"), conv.att_dst.data)
+    bias = plan.const(plan.fresh("gat_b"), conv.bias.data)
     pool_h = (pool_hidden @ conv.weight.data).reshape(-1, heads, out_features)
-    pool_hc = builder.const(builder.fresh("gat_pool_h"), pool_h)
-    pool_score = builder.const(
-        builder.fresh("gat_pool_s"), (pool_h * conv.att_src.data).sum(axis=-1)
+    pool_hc = plan.const(plan.fresh("gat_pool_h"), pool_h)
+    pool_score = plan.const(
+        plan.fresh("gat_pool_s"), (pool_h * conv.att_src.data).sum(axis=-1)
     )
-    hq = builder.buffer(
-        builder.fresh("gat_hq"), lambda batch, a=heads, b=out_features: (batch, a, b)
+    hq = plan.buffer(
+        plan.fresh("gat_hq"), lambda batch, a=heads, b=out_features: (batch, a, b)
     )
-    vals = builder.buffer(
-        builder.fresh("gat_vals"),
+    vals = plan.buffer(
+        plan.fresh("gat_vals"),
         lambda batch, kk=k, a=heads, b=out_features: (batch, kk + 1, a, b),
     )
-    scores = builder.buffer(
-        builder.fresh("gat_scores"), lambda batch, kk=k, a=heads: (batch, kk + 1, a)
+    scores = plan.buffer(
+        plan.fresh("gat_scores"), lambda batch, kk=k, a=heads: (batch, kk + 1, a)
     )
     width = int(conv.output_dim)
-    out = builder.buffer(builder.fresh("h"), lambda batch, d=width: (batch, d))
-    builder.step(
-        "gat_attach",
+    out = plan.buffer(plan.fresh("h"), lambda batch, d=width: (batch, d))
+    plan.step(
+        kernels.gat_attach,
         (h, weight, att_src, att_dst, bias, pool_hc, pool_score, "nbr",
          hq, vals, scores),
         out,
@@ -203,34 +204,34 @@ def _lower_gat(builder, conv, pool_hidden, k, h):
     return out, width
 
 
-def _lower_gated(builder, conv, pool_hidden, k, h, width):
+def _lower_gated(plan, conv, pool_hidden, k, h, width):
     scale = 1.0 / (k + 1.0)
-    w_msg = builder.const(builder.fresh("ggnn_wm"), conv.message.weight.data * scale)
+    w_msg = plan.const(plan.fresh("ggnn_wm"), conv.message.weight.data * scale)
     msg_inputs = (h, w_msg)
     if conv.message.bias is not None:
         msg_inputs = (
             h, w_msg,
-            builder.const(builder.fresh("ggnn_bm"), conv.message.bias.data * scale),
+            plan.const(plan.fresh("ggnn_bm"), conv.message.bias.data * scale),
         )
     proj = pool_hidden @ conv.message.weight.data
     if conv.message.bias is not None:
         proj = proj + conv.message.bias.data
-    pool_msg = builder.const(builder.fresh("ggnn_pool"), proj * scale)
-    own = builder.buffer(builder.fresh("ggnn_own"), lambda batch, d=width: (batch, d))
-    builder.step("linear", msg_inputs, own)
-    aggm = builder.buffer(builder.fresh("ggnn_agg"), lambda batch, d=width: (batch, d))
-    builder.step("gather_sum_add", (own, pool_msg, "nbr"), aggm)
+    pool_msg = plan.const(plan.fresh("ggnn_pool"), proj * scale)
+    own = plan.buffer(plan.fresh("ggnn_own"), lambda batch, d=width: (batch, d))
+    plan.step(kernels.linear, msg_inputs, own)
+    aggm = plan.buffer(plan.fresh("ggnn_agg"), lambda batch, d=width: (batch, d))
+    plan.step(kernels.gather_sum_add, (own, pool_msg, "nbr"), aggm)
     gru = conv.gru
     weights = tuple(
-        builder.const(builder.fresh(f"gru_{name}"), getattr(gru, name).data)
+        plan.const(plan.fresh(f"gru_{name}"), getattr(gru, name).data)
         for name in ("w_ir", "w_hr", "b_r", "w_iz", "w_hz", "b_z", "w_in", "w_hn", "b_n")
     )
     scratch = tuple(
-        builder.buffer(f"gru_scratch_{name}", lambda batch, d=width: (batch, d))
+        plan.buffer(f"gru_scratch_{name}", lambda batch, d=width: (batch, d))
         for name in ("r", "z", "n", "tmp")
     )
-    out = builder.buffer(builder.fresh("h"), lambda batch, d=width: (batch, d))
-    builder.step("gru_step", (aggm, h) + weights + scratch, out)
+    out = plan.buffer(plan.fresh("h"), lambda batch, d=width: (batch, d))
+    plan.step(kernels.gru_step, (aggm, h) + weights + scratch, out)
     return out, width
 
 
@@ -252,10 +253,10 @@ def compile_instance(model, k: int) -> InferencePlan:
         )
     model.eval()
     graph = model.graph
-    builder = PlanBuilder()
-    builder.feed("x")
-    builder.feed("nbr")
-    builder.const(
+    plan = InferencePlan()
+    plan.feed("x")
+    plan.feed("nbr")
+    plan.const(
         "gcn_attach_w",
         graph._gcn_inv_sqrt_degrees() / math.sqrt(k + 1.0),
     )
@@ -277,17 +278,15 @@ def compile_instance(model, k: int) -> InferencePlan:
             if module is not None:
                 pool_hidden = pool.data
                 if isinstance(module, GCNConv):
-                    h, width = _lower_gcn(builder, module, pool_hidden, k, h)
+                    h, width = _lower_gcn(plan, module, pool_hidden, k, h)
                 elif isinstance(module, SAGEConv):
-                    h, width = _lower_sage(builder, module, pool_hidden, k, h, width)
+                    h, width = _lower_sage(plan, module, pool_hidden, k, h, width)
                 elif isinstance(module, GINConv):
-                    h, width = _lower_gin(builder, module, pool_hidden, h, width)
+                    h, width = _lower_gin(plan, module, pool_hidden, h, width)
                 elif isinstance(module, GATConv):
-                    h, width = _lower_gat(builder, module, pool_hidden, k, h)
+                    h, width = _lower_gat(plan, module, pool_hidden, k, h)
                 elif isinstance(module, GatedGraphConv):
-                    h, width = _lower_gated(
-                        builder, module, pool_hidden, k, h, width
-                    )
+                    h, width = _lower_gated(plan, module, pool_hidden, k, h, width)
                 else:
                     raise UnsupportedPlanError(
                         f"unsupported conv family: {type(module).__name__}"
@@ -299,16 +298,17 @@ def compile_instance(model, k: int) -> InferencePlan:
             if fn is None:
                 raise UnsupportedPlanError(f"unrecognized plan step: {step!r}")
             if isinstance(fn, nn.Linear):
-                h, width = lower_linear(builder, fn, h)
+                h, width = lower_linear(plan, fn, h)
             elif isinstance(fn, nn.MLP):
-                h, width = lower_mlp(builder, fn, h, width)
+                h, width = lower_mlp(plan, fn, h, width)
             else:
-                h = lower_activation_fn(builder, fn, h, width)
+                h = lower_activation_fn(plan, fn, h, width)
             if i < last:
                 pool = fn(pool)
     if h == "x":
         raise UnsupportedPlanError("plan produced no output buffer")
-    return builder.build(h)
+    plan.output = h
+    return plan
 
 
 # ---------------------------------------------------------------------------
@@ -318,30 +318,31 @@ def compile_feature(model) -> InferencePlan:
     """Lower a :class:`~repro.models.FeatureGraphClassifier`; feeds ``x``."""
     fields = int(model.num_features)
     embed = int(model.embed_dim)
-    builder = PlanBuilder()
-    builder.feed("x")
-    token_w = builder.const("token_w", model.token_weight.data)
-    token_b = builder.const("token_b", model.token_bias.data)
+    plan = InferencePlan()
+    plan.feed("x")
+    token_w = plan.const("token_w", model.token_weight.data)
+    token_b = plan.const("token_b", model.token_bias.data)
     logits = np.asarray(model.edge_logits.data, dtype=np.float64)
     adj_raw = logits + np.eye(fields) * -1e9
     adj_raw = adj_raw - adj_raw.max(axis=1, keepdims=True)
     adj_raw = np.exp(adj_raw)
-    adj = builder.const("adjacency", adj_raw / adj_raw.sum(axis=1, keepdims=True))
-    tok = builder.buffer("tokens", lambda batch: (batch, fields, embed))
-    builder.step("feature_tokens", ("x", token_w, token_b), tok)
-    flat = builder.buffer("scratch_flat", lambda batch: (batch, fields, embed))
-    msg = builder.buffer("scratch_msg", lambda batch: (batch, fields, embed))
+    adj = plan.const("adjacency", adj_raw / adj_raw.sum(axis=1, keepdims=True))
+    tok = plan.buffer("tokens", lambda batch: (batch, fields, embed))
+    plan.step(kernels.feature_tokens, ("x", token_w, token_b), tok)
+    flat = plan.buffer("scratch_flat", lambda batch: (batch, fields, embed))
+    msg = plan.buffer("scratch_msg", lambda batch: (batch, fields, embed))
     for linear in model.propagations:
-        w = builder.const(builder.fresh("w"), linear.weight.data)
-        b = builder.const(builder.fresh("b"), linear.bias.data)
-        builder.step("feature_layer", (adj, w, b, flat, msg), tok)
-    score_w = builder.const("readout_w", model.readout.score.weight.data)
-    score_b = builder.const("readout_b", model.readout.score.bias.data)
-    scores = builder.buffer("readout_scores", lambda batch: (batch, fields))
-    pooled = builder.buffer("pooled", lambda batch: (batch, embed))
-    builder.step("attention_readout", (tok, score_w, score_b, scores), pooled)
-    out, _ = lower_mlp(builder, model.head, pooled, embed)
-    return builder.build(out)
+        w = plan.const(plan.fresh("w"), linear.weight.data)
+        b = plan.const(plan.fresh("b"), linear.bias.data)
+        plan.step(kernels.feature_layer, (adj, w, b, flat, msg), tok)
+    score_w = plan.const("readout_w", model.readout.score.weight.data)
+    score_b = plan.const("readout_b", model.readout.score.bias.data)
+    scores = plan.buffer("readout_scores", lambda batch: (batch, fields))
+    pooled = plan.buffer("pooled", lambda batch: (batch, embed))
+    plan.step(kernels.attention_readout, (tok, score_w, score_b, scores), pooled)
+    out, _ = lower_mlp(plan, model.head, pooled, embed)
+    plan.output = out
+    return plan
 
 
 # ---------------------------------------------------------------------------
@@ -361,8 +362,8 @@ def compile_multiplex(model) -> InferencePlan:
     model.eval()
     hidden = int(model.attention_vector.data.shape[0])
     relations = len(model.relation_encoders)
-    builder = PlanBuilder()
-    builder.feed("x")
+    plan = InferencePlan()
+    plan.feed("x")
     emb_names: List[str] = []
     with no_grad():
         for rel, (convs, codes) in enumerate(zip(
@@ -371,8 +372,8 @@ def compile_multiplex(model) -> InferencePlan:
             members, means = group_mean_operators(codes)
             values, first = np.unique(codes, return_index=True)
             readers = members[first[values >= 0]]
-            builder.feed(f"idx{rel}")
-            builder.feed(f"mask{rel}")
+            plan.feed(f"idx{rel}")
+            plan.feed(f"mask{rel}")
             h = "x"
             pool = model.x
             for i, conv in enumerate(convs):
@@ -381,33 +382,34 @@ def compile_multiplex(model) -> InferencePlan:
                 table = readers @ group_means
                 if not table.shape[0]:  # no vocabulary: every query misses
                     table = np.zeros((1, width))
-                table = builder.const(f"means_{rel}_{i}", table)
-                own, _ = lower_linear(builder, conv.linear, h)
-                nxt = builder.buffer(
-                    builder.fresh(f"rel{rel}_h"), lambda batch, d=width: (batch, d)
+                table = plan.const(f"means_{rel}_{i}", table)
+                own, _ = lower_linear(plan, conv.linear, h)
+                nxt = plan.buffer(
+                    plan.fresh(f"rel{rel}_h"), lambda batch, d=width: (batch, d)
                 )
-                builder.step(
-                    "gather_where", (table, f"idx{rel}", f"mask{rel}", own), nxt
+                plan.step(
+                    kernels.gather_where, (table, f"idx{rel}", f"mask{rel}", own), nxt
                 )
                 if i < len(convs) - 1:
-                    builder.step("relu", (nxt,), nxt)
+                    plan.step(kernels.relu, (nxt,), nxt)
                     pool = ops.relu(Tensor(members @ group_means))
                 h = nxt
             emb_names.append(h)
-    combined = builder.buffer("combined", lambda batch: (batch, 2 * hidden))
-    fused = builder.view(
+    combined = plan.buffer("combined", lambda batch: (batch, 2 * hidden))
+    fused = plan.view(
         "fused", combined, lambda batch: (slice(None), slice(0, hidden))
     )
-    selfv = builder.view(
+    selfv = plan.view(
         "self_h", combined, lambda batch: (slice(None), slice(hidden, 2 * hidden))
     )
-    att = builder.const("att_vec", model.attention_vector.data)
-    fscores = builder.buffer("fuse_scores", lambda batch: (batch, relations))
-    builder.step("tabgnn_fuse", (att, fscores) + tuple(emb_names), fused)
-    selfp, _ = lower_linear(builder, model.self_proj, "x")
-    builder.step("relu", (selfp,), selfv)
-    out, _ = lower_mlp(builder, model.head, combined, 2 * hidden)
-    return builder.build(out)
+    att = plan.const("att_vec", model.attention_vector.data)
+    fscores = plan.buffer("fuse_scores", lambda batch: (batch, relations))
+    plan.step(kernels.tabgnn_fuse, (att, fscores) + tuple(emb_names), fused)
+    selfp, _ = lower_linear(plan, model.self_proj, "x")
+    plan.step(kernels.relu, (selfp,), selfv)
+    out, _ = lower_mlp(plan, model.head, combined, 2 * hidden)
+    plan.output = out
+    return plan
 
 
 # ---------------------------------------------------------------------------
@@ -424,8 +426,8 @@ def compile_hetero(network) -> InferencePlan:
     """
     network.eval()
     target = network.target_type
-    builder = PlanBuilder()
-    builder.feed("x")
+    plan = InferencePlan()
+    plan.feed("x")
     src_types: List[str] = []
     h = "x"
     layers = list(network.layers)
@@ -433,7 +435,7 @@ def compile_hetero(network) -> InferencePlan:
         feats = network.node_features()
         for li, layer in enumerate(layers):
             self_linear = layer._self_linears[layer._node_types.index(target)]
-            out, _ = lower_linear(builder, self_linear, h)
+            out, _ = lower_linear(plan, self_linear, h)
             for edge_type, linear in zip(layer._edge_key_order, layer._edge_linears):
                 src_type, _, dst_type = edge_type
                 if dst_type != target:
@@ -444,22 +446,23 @@ def compile_hetero(network) -> InferencePlan:
                     )
                 if src_type not in src_types:
                     src_types.append(src_type)
-                    builder.feed(f"idx::{src_type}")
-                    builder.feed(f"mask::{src_type}")
-                proj = builder.const(
-                    builder.fresh(f"hetero_{src_type}"),
+                    plan.feed(f"idx::{src_type}")
+                    plan.feed(f"mask::{src_type}")
+                proj = plan.const(
+                    plan.fresh(f"hetero_{src_type}"),
                     feats[src_type].data @ linear.weight.data,
                 )
-                builder.step(
-                    "masked_gather_add",
+                plan.step(
+                    kernels.masked_gather_add,
                     (proj, f"idx::{src_type}", f"mask::{src_type}"),
                     out,
                 )
             if li < len(layers) - 1:
-                builder.step("relu", (out,), out)
+                plan.step(kernels.relu, (out,), out)
                 feats = {t: ops.relu(s) for t, s in layer(feats).items()}
             h = out
-    return builder.build(h)
+    plan.output = h
+    return plan
 
 
 # ---------------------------------------------------------------------------
@@ -481,12 +484,13 @@ def compile_hypergraph(model) -> InferencePlan:
     head = network.head
     out_dim = int(head.out_features)
     bias = head.bias.data if head.bias is not None else np.zeros(out_dim)
-    builder = PlanBuilder()
-    builder.feed("ids")
-    builder.feed("w")
-    table = builder.const("node_proj", states @ head.weight.data)
-    bias_c = builder.const("head_bias", bias)
-    out = builder.buffer("logits", lambda batch: (batch, out_dim))
-    builder.step("gather_weighted_sum", (table, "ids", "w"), out)
-    builder.step("add", (out, bias_c), out)
-    return builder.build(out)
+    plan = InferencePlan()
+    plan.feed("ids")
+    plan.feed("w")
+    table = plan.const("node_proj", states @ head.weight.data)
+    bias_c = plan.const("head_bias", bias)
+    out = plan.buffer("logits", lambda batch: (batch, out_dim))
+    plan.step(kernels.gather_weighted_sum, (table, "ids", "w"), out)
+    plan.step(kernels.add, (out, bias_c), out)
+    plan.output = out
+    return plan

@@ -54,7 +54,7 @@ import itertools
 import threading
 import time
 from collections import OrderedDict
-from typing import Dict, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -150,14 +150,20 @@ class InferenceEngine:
     serializes scoring.  All ``stats`` mutations happen while that lock is
     held, so :meth:`snapshot` (which takes it) returns a view in which
     related counters are consistent — e.g. ``cache_hits + forward_rows``
-    always accounts for every single-row predict.
+    always accounts for every single-row predict.  :meth:`predict` and
+    :meth:`predict_batch` share one scoring core; within one batch the
+    cache is read before it is filled, so a fresh row repeated in the
+    batch counts in ``rows`` only.
 
     Observability (when enabled): end-to-end latency lands in the
     ``repro_request_duration_seconds{formulation,endpoint}`` histogram
     (every request); sampled requests are traced through the
     ``cache → score(encode → attach → plan_execute) → head`` stages
-    (``repro_stage_duration_seconds{formulation,stage}``); an oracle
-    engine's forward runs inside ``score`` with no stage of its own.
+    (``repro_stage_duration_seconds{formulation,stage}``): the engine
+    opens ``score`` around the scorer's ``score`` call, and the scorer
+    marks its own stages inside it with
+    :meth:`~repro.formulations.RowScorer.stage`; an oracle engine's
+    forward runs inside ``score`` with no stage of its own.
     ``stats`` stays a plain dict — mutated only under the engine lock, so
     increments cost the same as before instrumentation — and is exported
     to the registry through collection-time callbacks
@@ -367,30 +373,72 @@ class InferenceEngine:
     def num_classes(self) -> int:
         return self.artifact.num_classes
 
-    def _normalize(
-        self, numerical: np.ndarray, categorical: Optional[np.ndarray]
-    ) -> Tuple[np.ndarray, np.ndarray]:
-        return self.artifact.preprocessor.normalize_rows(numerical, categorical)
-
-    @staticmethod
-    def _key(num_row: np.ndarray, cat_row: np.ndarray) -> Tuple[bytes, bytes]:
-        return (num_row.tobytes(), cat_row.tobytes())
-
     # ------------------------------------------------------------------
-    def _forward(self, numerical: np.ndarray, categorical: np.ndarray) -> np.ndarray:
-        """One vectorized forward pass over a (B, …) row batch → (B, C) probs."""
-        logits = self._scorer.score(numerical, categorical)
-        self.stats["forward_passes"] += 1
-        self.stats["forward_rows"] += numerical.shape[0]
-        with self._span("head"):
-            probs = softmax_rows(logits, axis=1)
-        # Rows of this array end up in the LRU cache and are returned by
-        # reference; freeze them so caller mutation raises instead of
-        # corrupting cached entries.
-        probs.flags.writeable = False
-        return probs
+    def _score_rows(
+        self,
+        endpoint: str,
+        numerical: np.ndarray,
+        categorical: Optional[np.ndarray],
+    ) -> List[np.ndarray]:
+        """Read-only (C,) class probabilities per raw row, for both
+        endpoints: cached rows come from the LRU, the *distinct* misses
+        share one forward pass and enter it."""
+        started = time.perf_counter()
+        # Validated before the sampling decision, so a malformed request
+        # cannot use up a trace sample.
+        numerical, categorical = self.artifact.preprocessor.normalize_rows(
+            numerical, categorical
+        )
+        n = numerical.shape[0]
+        if n != 1 and endpoint == "predict":
+            raise ValueError("predict scores one row; use predict_batch")
+        cache = self._cache
+        keys = []
+        out = []  # per row: its cached probabilities, None on a miss
+        # the misses, in first-seen order: each distinct key's first row,
+        # then its probabilities
+        fresh: Dict[Tuple[bytes, bytes], object] = {}
+        with self._root_span(endpoint), self._lock:
+            self.stats["rows"] += n
+            with self._span("cache"):
+                hits = 0
+                for i in range(n):
+                    key = (numerical[i].tobytes(), categorical[i].tobytes())
+                    cached = cache.get(key)
+                    if cached is None:
+                        fresh.setdefault(key, i)
+                    else:
+                        cache.move_to_end(key)
+                        hits += 1
+                    keys.append(key)
+                    out.append(cached)
+                self.stats["cache_hits"] += hits
+            if fresh:
+                if len(fresh) < n:
+                    rows = list(fresh.values())
+                    numerical, categorical = numerical[rows], categorical[rows]
+                with self._span("score"):
+                    logits = self._scorer.score(numerical, categorical)
+                self.stats["forward_passes"] += 1
+                self.stats["forward_rows"] += len(fresh)
+                with self._span("head"):
+                    probs = softmax_rows(logits, axis=1)
+                # Rows of this array end up in the LRU cache and are
+                # returned by reference; freeze them so caller mutation
+                # raises instead of corrupting cached entries.
+                probs.flags.writeable = False
+                for key, row in zip(fresh, probs):
+                    fresh[key] = row
+                for i in range(n):
+                    if out[i] is None:
+                        out[i] = fresh[keys[i]]
+                if self.cache_size:
+                    cache.update(fresh)
+                    while len(cache) > self.cache_size:
+                        cache.popitem(last=False)
+        self._observe_request(endpoint, started)
+        return out
 
-    # ------------------------------------------------------------------
     def predict_batch(
         self,
         numerical: np.ndarray,
@@ -398,48 +446,10 @@ class InferenceEngine:
     ) -> np.ndarray:
         """(B, C) class probabilities for a batch of raw rows.
 
-        Rows already in the cache are served from it; the remaining
-        *distinct* rows share a single vectorized forward pass.
+        A new, writable array: rows served from the cache are copied in.
         """
-        started = time.perf_counter()
-        # Validated before the sampling decision, so a malformed request
-        # cannot use up a trace sample.
-        numerical, categorical = self._normalize(numerical, categorical)
-        with self._root_span("predict_batch"):
-            n = numerical.shape[0]
-            out = np.empty((n, self.num_classes))
-            with self._lock:
-                self.stats["rows"] += n
-                with self._span("cache"):
-                    keys = [
-                        self._key(numerical[i], categorical[i]) for i in range(n)
-                    ]
-                    fresh: "OrderedDict[Tuple[bytes, bytes], int]" = OrderedDict()
-                    hits = 0
-                    for i, key in enumerate(keys):
-                        if self.cache_size and key in self._cache:
-                            self._cache.move_to_end(key)
-                            out[i] = self._cache[key]
-                            hits += 1
-                        elif key not in fresh:
-                            fresh[key] = i
-                    if hits:
-                        self.stats["cache_hits"] += hits
-                if fresh:
-                    rows = list(fresh.values())
-                    probs = self._forward(numerical[rows], categorical[rows])
-                    for local, key in enumerate(fresh):
-                        if self.cache_size:
-                            self._cache[key] = probs[local]
-                            self._cache.move_to_end(key)
-                    fresh_probs = dict(zip(fresh, probs))
-                    for i, key in enumerate(keys):
-                        if key in fresh_probs:
-                            out[i] = fresh_probs[key]
-                    while len(self._cache) > self.cache_size:
-                        self._cache.popitem(last=False)
-        self._observe_request("predict_batch", started)
-        return out
+        rows = self._score_rows("predict_batch", numerical, categorical)
+        return np.stack(rows) if rows else np.empty((0, self.num_classes))
 
     def predict(
         self,
@@ -449,38 +459,7 @@ class InferenceEngine:
         """(C,) class probabilities for one raw row.
 
         A cache hit returns the stored (read-only) array itself — no
-        forward pass.
+        forward pass.  More than one row raises ``ValueError`` before
+        anything is counted.
         """
-        started = time.perf_counter()
-        numerical, categorical = self._normalize(numerical, categorical)
-        if numerical.shape[0] != 1:
-            raise ValueError("predict scores one row; use predict_batch")
-        with self._root_span("predict"):
-            key = self._key(numerical[0], categorical[0])
-            with self._lock:
-                self.stats["rows"] += 1
-                with self._span("cache"):
-                    hit = self.cache_size and key in self._cache
-                if hit:
-                    self._cache.move_to_end(key)
-                    self.stats["cache_hits"] += 1
-                    probs = self._cache[key]
-                else:
-                    probs = self._forward(numerical, categorical)[0]
-                    if self.cache_size:
-                        self._cache[key] = probs
-                        while len(self._cache) > self.cache_size:
-                            self._cache.popitem(last=False)
-        self._observe_request("predict", started)
-        return probs
-
-    def predict_labels(
-        self,
-        numerical: np.ndarray,
-        categorical: Optional[np.ndarray] = None,
-    ) -> np.ndarray:
-        return self.predict_batch(numerical, categorical).argmax(axis=1)
-
-    def clear_cache(self) -> None:
-        with self._lock:
-            self._cache.clear()
+        return self._score_rows("predict", numerical, categorical)[0]

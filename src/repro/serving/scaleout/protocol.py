@@ -93,7 +93,13 @@ class FrameDecoder:
             )
             body = bytes(self._buffer[_PREFIX.size + header_len:total])
             del self._buffer[:total]
-            yield json.loads(header_bytes.decode() or "{}"), body
+            try:
+                header = json.loads(header_bytes.decode() or "{}")
+            except ValueError as exc:  # not UTF-8, or not JSON
+                raise ProtocolError(f"frame header is not JSON: {exc}") from exc
+            if not isinstance(header, dict):
+                raise ProtocolError(f"frame header is not a JSON object: {header!r}")
+            yield header, body
 
 
 def read_frames(sock: socket.socket) -> Iterator[Frame]:

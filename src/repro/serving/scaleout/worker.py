@@ -31,6 +31,7 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import math
 import os
 import signal
 import socket
@@ -52,29 +53,55 @@ class _BadRequest(ValueError):
     """Client error → HTTP 400 with an explanatory JSON body."""
 
 
-def _parse_row(row: Dict[str, object]) -> Tuple[np.ndarray, Optional[np.ndarray]]:
-    if not isinstance(row, dict) or "numerical" not in row:
-        raise _BadRequest('each row must be an object with a "numerical" list')
+def _checked(values: object, kind: str) -> list:
+    """One row's ``numerical`` or ``categorical`` list, checked in one pass.
+
+    Refuses, by column, what numpy would coerce or the fitted
+    preprocessing cannot place: a non-number (string, boolean, list), an
+    infinite value, a code with a fractional part.  ``null`` and NaN mark
+    a missing numerical value; an integral code such as ``3.0`` is 3.
+    """
+    if not isinstance(values, list):
+        raise _BadRequest(f'"{kind}" must be a list')
+    numerical = kind == "numerical"
+    for column, value in enumerate(values):
+        if type(value) is int or (numerical and value is None):
+            continue
+        if type(value) is float and (
+            not math.isinf(value) if numerical else value.is_integer()
+        ):
+            continue
+        rule = ("values must be finite numbers (send null or NaN if missing)"
+                if numerical else "codes must be integers")
+        raise _BadRequest(f"{kind} column {column} is {value!r}; {rule}")
+    return values
+
+
+def _parse_rows(rows: list, width: int) -> Tuple[np.ndarray, np.ndarray]:
+    """2-D ``(numerical, categorical)`` arrays of checked ``/predict`` rows.
+
+    A row without ``"categorical"`` gets ``width`` (the fitted count)
+    ``-1`` "missing" codes, so rows may mix present and absent ones; the
+    engine checks the widths against the fitted schema.
+    """
+    numerical, categorical = [], []
+    missing = [-1] * width
+    for row in rows:
+        if not isinstance(row, dict) or "numerical" not in row:
+            raise _BadRequest('each row must be an object with a "numerical" list')
+        numerical.append(_checked(row["numerical"], "numerical"))
+        codes = row.get("categorical")
+        categorical.append(missing if codes is None else _checked(codes, "categorical"))
     try:
-        numerical = np.asarray(row["numerical"], dtype=np.float64).reshape(-1)
-    except (TypeError, ValueError) as exc:
-        raise _BadRequest(f"bad numerical values: {exc}") from exc
-    infinite = np.flatnonzero(np.isinf(numerical))
-    if infinite.size:
-        # NaN is the missing-value marker; an infinity is never a value
-        # the fitted preprocessing can place.
-        column = int(infinite[0])
+        return (np.array(numerical, dtype=np.float64),
+                np.array(categorical, dtype=np.int64))
+    except OverflowError as exc:
+        raise _BadRequest(f"value out of range: {exc}") from exc
+    except ValueError as exc:
         raise _BadRequest(
-            f"numerical column {column} is {numerical[column]}; values must "
-            "be finite (send NaN for a missing value)"
-        )
-    categorical = None
-    if row.get("categorical") is not None:
-        try:
-            categorical = np.asarray(row["categorical"], dtype=np.int64).reshape(-1)
-        except (TypeError, ValueError, OverflowError) as exc:
-            raise _BadRequest(f"bad categorical values: {exc}") from exc
-    return numerical, categorical
+            "every row needs the same number of numerical and of "
+            "categorical values"
+        ) from exc
 
 
 def execute_predict(
@@ -83,33 +110,26 @@ def execute_predict(
     """Score a parsed ``/predict`` body against ``engine``.
 
     The wire contract (validation errors, response shape, rounding) of
-    every deployment shape: :func:`handle_frame` is its only caller.
+    every deployment shape: :func:`handle_frame` is its only caller.  A
+    body without ``"rows"`` is one row: it is parsed like a batch of one
+    and scored through :meth:`InferenceEngine.predict`.
     """
     if not isinstance(payload, dict):
         raise _BadRequest("request body must be a JSON object")
-    if "rows" in payload:
-        rows = payload["rows"]
-        if not isinstance(rows, list) or not rows:
-            raise _BadRequest('"rows" must be a non-empty list')
-        try:
-            # Rows may mix present/absent categoricals; normalize_rows
-            # fills absent ones with the -1 "missing" code so no row's
-            # data is dropped.
-            preprocessor = engine.artifact.preprocessor
-            parsed = [
-                preprocessor.normalize_rows(*_parse_row(row)) for row in rows
-            ]
-            numerical = np.concatenate([num for num, _ in parsed])
-            categorical = np.concatenate([cat for _, cat in parsed])
+    batch = "rows" in payload
+    rows = payload["rows"] if batch else [payload]
+    if not isinstance(rows, list) or not rows:
+        raise _BadRequest('"rows" must be a non-empty list')
+    numerical, categorical = _parse_rows(
+        rows, engine.artifact.preprocessor.num_categorical_features
+    )
+    try:
+        if batch:
             probs = engine.predict_batch(numerical, categorical)
-        except ValueError as exc:  # ragged rows / wrong column count
-            raise _BadRequest(str(exc)) from exc
-    else:
-        numerical, categorical = _parse_row(payload)
-        try:
-            probs = np.atleast_2d(engine.predict(numerical, categorical))
-        except ValueError as exc:  # wrong column count for the artifact
-            raise _BadRequest(str(exc)) from exc
+        else:
+            probs = engine.predict(numerical, categorical)[None]
+    except ValueError as exc:  # wrong column count for the artifact
+        raise _BadRequest(str(exc)) from exc
     return {
         "predictions": probs.argmax(axis=1).tolist(),
         "probabilities": probs.round(6).tolist(),

@@ -12,8 +12,9 @@ console script) serves a :class:`~repro.serving.ModelArtifact`:
       {"rows": [{"numerical": [...], "categorical": [...]}, ...]}
 
   The response carries per-row class probabilities and argmax
-  predictions.  NaN marks a missing numerical value; ``±Infinity`` is
-  refused with a 400 naming the column.
+  predictions.  NaN (or ``null``) marks a missing numerical value; a
+  value that is not a JSON number, ``±Infinity`` and a categorical code
+  with a fractional part are refused with a 400 naming the column.
 * ``GET /healthz`` (or ``/health``) — liveness, which artifact serves
   (``artifact_generation``, ``artifact_sha``, formulation, compiled
   plan, retrieval index) and summed engine counters; ``workers`` and
@@ -231,7 +232,8 @@ class PredictionServer:
     disk.  Construction boots generation 1 and waits for it, unless
     ``lazy_init``: then the port answers at once and ``/predict`` is 503
     until the engine is ready (:meth:`wait_ready`).  ``port=0`` binds an
-    ephemeral port, available as :attr:`port`.
+    ephemeral port, available as :attr:`port`.  The server builds its own
+    :attr:`registry` and shares it with the in-process engine.
     """
 
     def __init__(
@@ -243,7 +245,6 @@ class PredictionServer:
         cache_size: int = 256,
         max_body_bytes: int = 1 << 20,
         access_log: bool = False,
-        registry: Optional[MetricsRegistry] = None,
         index: Optional[str] = None,
         nprobe: Optional[int] = None,
         lazy_init: bool = False,
@@ -280,7 +281,7 @@ class PredictionServer:
         }
         self._boot_timeout = float(boot_timeout)
 
-        self.registry = registry if registry is not None else MetricsRegistry()
+        self.registry = MetricsRegistry()
         self._http_requests = self.registry.counter(
             "repro_http_requests_total",
             "HTTP requests by method, route and status.",

@@ -2,11 +2,12 @@
 
 Parity at the engine level is fuzzed per registry cell in
 ``test_formulation_matrix.py``; this module tests the plan machinery
-itself — the step vocabulary, buffer lifecycle, per-network lowering of
-every conv substrate against the ``compiled=False`` oracle (untrained
-artifacts: lowering correctness does not depend on the weights), and path
-selection (a built-in model that cannot lower refuses to start instead of
-serving slower; plug-in scorers serve through their own ``score``).
+itself — the kernels its steps call, buffer lifecycle, per-network
+lowering of every conv substrate against the ``compiled=False`` oracle
+(untrained artifacts: lowering correctness does not depend on the
+weights), and path selection (a built-in model that cannot lower refuses
+to start instead of serving slower; plug-in scorers serve through their
+own ``score``).
 """
 
 import numpy as np
@@ -19,12 +20,10 @@ from repro.gnn.networks import build_network
 from repro.pipeline import run_pipeline
 from repro.serving import InferenceEngine, ModelArtifact
 from repro.serving.compiled import (
-    KERNELS,
     InferencePlan,
-    PlanBuilder,
-    PlanStep,
     UnsupportedPlanError,
     compile_instance,
+    kernels,
 )
 
 NETWORKS = ("gcn", "sage", "gin", "gat", "gated")
@@ -87,17 +86,12 @@ def _rows(artifact, n=12, seed=42):
 # plan machinery
 # ---------------------------------------------------------------------------
 class TestPlanMachinery:
-    def test_unknown_op_rejected_at_build_time(self):
-        with pytest.raises(UnsupportedPlanError, match="unknown kernel op"):
-            PlanStep("warp_drive", ("x",), "out", {})
-
     def test_plan_reuses_buffers_per_batch_size(self):
-        builder = PlanBuilder()
-        builder.feed("x")
-        w = builder.const("w", np.eye(3))
-        out = builder.buffer("out", lambda batch: (batch, 3))
-        builder.step("linear", ("x", w), out)
-        plan = builder.build(out)
+        plan = InferencePlan()
+        plan.feed("x")
+        w = plan.const("w", np.eye(3))
+        plan.output = plan.buffer("out", lambda batch: (batch, 3))
+        plan.step(kernels.linear, ("x", w), plan.output)
 
         first = plan.run(4, {"x": np.ones((4, 3))})
         assert plan.reallocations == 1
@@ -109,17 +103,19 @@ class TestPlanMachinery:
         assert plan.reallocations == 2
 
     def test_views_are_windows_into_parent_buffers(self):
-        builder = PlanBuilder()
-        builder.feed("x")
-        w = builder.const("w", np.eye(2))
-        combined = builder.buffer("combined", lambda batch: (batch, 4))
-        left = builder.view("left", combined, lambda batch: (slice(None), slice(0, 2)))
-        right = builder.view(
-            "right", combined, lambda batch: (slice(None), slice(2, 4))
+        plan = InferencePlan()
+        plan.feed("x")
+        w = plan.const("w", np.eye(2))
+        plan.output = plan.buffer("combined", lambda batch: (batch, 4))
+        left = plan.view(
+            "left", plan.output, lambda batch: (slice(None), slice(0, 2))
         )
-        builder.step("linear", ("x", w), left)
-        builder.step("relu", ("x",), right)
-        plan = builder.build(combined)
+        right = plan.view(
+            "right", plan.output, lambda batch: (slice(None), slice(2, 4))
+        )
+        plan.step(kernels.linear, ("x", w), left)
+        plan.step(kernels.relu, ("x",), right)
+        assert plan.ops == ("linear", "relu")
         got = plan.run(3, {"x": np.full((3, 2), -1.5)})
         np.testing.assert_allclose(got[:, :2], -1.5)
         np.testing.assert_allclose(got[:, 2:], 0.0)
@@ -128,14 +124,17 @@ class TestPlanMachinery:
     def test_every_step_op_is_in_the_kernel_vocabulary(
         self, form, network, cell_artifact
     ):
-        # The backend contract: whatever a lowering emits, a swap-in
-        # backend only needs to implement the KERNELS names.
+        # Whatever a lowering emits, each step calls a function defined
+        # in serving/compiled/kernels.py, and plan.ops names it.
         engine = InferenceEngine(cell_artifact(form, network), cache_size=0)
         assert engine.compiled
         plan = engine._scorer.plan
         assert isinstance(plan, InferencePlan)
-        assert plan.ops
-        assert set(plan.ops) <= set(KERNELS)
+        assert plan.steps
+        for kernel, _, _, _ in plan.steps:
+            assert kernel.__module__ == kernels.__name__
+            assert getattr(kernels, kernel.__name__) is kernel
+        assert plan.ops == tuple(kernel.__name__ for kernel, *_ in plan.steps)
 
 
 # ---------------------------------------------------------------------------

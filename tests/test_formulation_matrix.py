@@ -358,8 +358,8 @@ def _strict_json(body):
 def test_wire_contract_is_strict(form, network, dataset, trained):
     # The request path every deployment shares (handle_frame →
     # execute_predict): an infinite numerical value is a 400 naming its
-    # column, NaN stays the missing-value marker, and every 200 body is
-    # standard JSON with finite probabilities summing to 1 per row.
+    # column, NaN and null stay the missing-value marker, and every 200
+    # body is standard JSON with finite probabilities summing to 1 per row.
     unit = boot(trained(form, network).export_artifact(), {"cache_size": 0})
 
     def predict(payload):
@@ -378,14 +378,41 @@ def test_wire_contract_is_strict(form, network, dataset, trained):
         status, body = predict({"rows": [{"numerical": row}, {"numerical": bad}]})
         assert status == 400
 
+    # Nothing is coerced: a string or boolean in either list, and a
+    # categorical code with a fractional part, is a 400 naming the column
+    # as a single row and inside a batch.
+    codes = dataset.categorical[0].tolist()
+    good = {"numerical": row, "categorical": codes}
+    refused = []
+    for column, value in ((0, codes[0] + 0.9), (1, str(codes[1])), (0, True)):
+        bad = list(codes)
+        bad[column] = value
+        refused.append(({"numerical": row, "categorical": bad},
+                        f"categorical column {column}"))
+    refused.append(({"numerical": row, "categorical": [str(c) for c in codes]},
+                    "categorical column 0"))
+    for column, value in ((1, str(row[1])), (2, False)):
+        bad = list(row)
+        bad[column] = value
+        refused.append(({"numerical": bad}, f"numerical column {column}"))
+    refused.append(({"numerical": [str(v) for v in row]}, "numerical column 0"))
+    for payload, column in refused:
+        for request in (payload, {"rows": [good, payload]}):
+            status, body = predict(request)
+            assert status == 400, request
+            assert column in _strict_json(body)["error"], request
+
     missing = list(row)
     missing[0] = float("nan")
+    missing[2] = None
     rows = [
-        {"numerical": row, "categorical": dataset.categorical[0].tolist()},
+        good,
         {"numerical": missing},
         {"numerical": dataset.numerical[1].tolist(),
          "categorical": [10_000_000] * dataset.num_categorical},
+        {"numerical": row, "categorical": [float(c) for c in codes]},
     ]
+    served = []
     for payload in rows + [{"rows": rows}]:
         status, body = predict(payload)
         assert status == 200
@@ -394,3 +421,6 @@ def test_wire_contract_is_strict(form, network, dataset, trained):
         assert probs.shape == (response["rows"], dataset.num_classes)
         assert np.isfinite(probs).all()
         np.testing.assert_allclose(probs.sum(axis=1), 1.0, atol=1e-5)
+        served.append(probs)
+    # An integral float code is that code.
+    np.testing.assert_array_equal(served[3], served[0])

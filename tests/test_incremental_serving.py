@@ -15,8 +15,10 @@ import pytest
 
 from repro.construction.retrieval import PoolIndex
 from repro.construction.rules import knn_graph, pairwise_similarity
-from repro.datasets import TabularPreprocessor, make_correlated_instances
+from repro.datasets import TabularPreprocessor, make_correlated_instances, make_fraud
+from repro.formulations import RowScorer
 from repro.gnn.networks import build_network
+from repro.pipeline import run_pipeline
 from repro.serving import InferenceEngine, ModelArtifact
 
 POOL_ROWS = 90
@@ -182,10 +184,90 @@ class TestSkipInitArtifactLoading:
         assert engine.predict_batch(rows).shape == (3, dataset.num_classes)
 
 
+@pytest.fixture(scope="module")
+def hypergraph_serving():
+    dataset = make_fraud(n=120, seed=0)
+    result = run_pipeline(dataset, formulation="hypergraph", max_epochs=2, seed=0)
+    return dataset, result.export_artifact()
+
+
 # ----------------------------------------------------------------------
 # LRU cache: eviction, size accounting, read-only entries
 # ----------------------------------------------------------------------
 class TestCacheEvictionAndSafety:
+    @pytest.mark.parametrize(
+        "cache_size, second",
+        [
+            # rows 1 and 0 hit the cache; the repeated fresh row 2 is
+            # scored once and counts in ``rows`` only
+            (8, {"rows": 7, "cache_hits": 2, "forward_passes": 2,
+                 "forward_rows": 3}),
+            (0, {"rows": 7, "cache_hits": 0, "forward_passes": 2,
+                 "forward_rows": 5}),
+        ],
+    )
+    def test_batch_counters_with_repeated_rows(
+        self, hypergraph_serving, cache_size, second
+    ):
+        dataset, artifact = hypergraph_serving
+        engine = InferenceEngine(artifact, cache_size=cache_size)
+
+        def batch(rows):
+            return engine.predict_batch(
+                dataset.numerical[rows], dataset.categorical[rows]
+            )
+
+        def counters():
+            snapshot = engine.snapshot()
+            return {key: snapshot[key] for key in second}
+
+        first = batch([0, 0, 1])
+        np.testing.assert_array_equal(first[0], first[1])
+        assert counters() == {
+            "rows": 3, "cache_hits": 0, "forward_passes": 1, "forward_rows": 2,
+        }
+        out = batch([1, 2, 2, 0])
+        np.testing.assert_array_equal(out[0], first[2])
+        np.testing.assert_array_equal(out[3], first[0])
+        assert counters() == second
+
+    def test_predict_on_two_rows_raises_before_counting(self, hypergraph_serving):
+        dataset, artifact = hypergraph_serving
+        engine = InferenceEngine(artifact, cache_size=8)
+        engine.predict(dataset.numerical[0], dataset.categorical[0])
+        before = engine.snapshot()
+        with pytest.raises(ValueError, match="one row"):
+            engine.predict(dataset.numerical[:2], dataset.categorical[:2])
+        assert engine.snapshot() == before
+        assert len(engine._cache) == 1
+
+    def test_plugin_scorer_records_score_and_its_own_stages(
+        self, hypergraph_serving, monkeypatch
+    ):
+        # A plug-in scorer with no compiled plan gets the engine's score
+        # span around its score call, and its own stage() marks nest in it.
+        dataset, artifact = hypergraph_serving
+
+        class PluginScorer(RowScorer):
+            def __init__(self, artifact, stats):
+                self.classes = artifact.num_classes
+
+            def score(self, numerical, categorical):
+                with self.stage("encode"):
+                    return np.zeros((numerical.shape[0], self.classes))
+
+        monkeypatch.setattr(artifact.fitted, "make_scorer", PluginScorer)
+        engine = InferenceEngine(artifact)
+        assert not engine.compiled and engine._scorer.plan is None
+        probs = engine.predict(dataset.numerical[0], dataset.categorical[0])
+        np.testing.assert_allclose(probs, 1.0 / artifact.num_classes)
+        text = engine.registry.render_prometheus()
+        for stage in ("cache", "score", "encode", "head"):
+            assert (
+                'repro_stage_duration_seconds_count'
+                f'{{formulation="hypergraph",stage="{stage}"}} 1'
+            ) in text, stage
+
     def test_lru_eviction_order_and_size_accounting(self):
         dataset, artifact = _instance_artifact("gcn", "euclidean")
         engine = InferenceEngine(artifact, cache_size=3)

@@ -14,6 +14,7 @@ import json
 import multiprocessing
 import pathlib
 import socket
+import struct
 import sys
 import threading
 
@@ -38,6 +39,17 @@ from repro.serving.scaleout.protocol import (
 # ----------------------------------------------------------------------
 # protocol framing
 # ----------------------------------------------------------------------
+#: frame headers that are not a JSON object, by test id
+BAD_HEADERS = {
+    "not-utf8": b"\xff", "not-json": b"not json", "array": b"[]", "number": b"5",
+}
+
+
+def _raw_frame(header: bytes) -> bytes:
+    """A bodiless frame carrying ``header`` verbatim."""
+    return struct.pack(">II", len(header), 0) + header
+
+
 class TestProtocol:
     def test_roundtrip_over_socketpair(self):
         a, b = socket.socketpair()
@@ -87,6 +99,13 @@ class TestProtocol:
         decoder = FrameDecoder()
         decoder.feed(b"\xff\xff\xff\xff\xff\xff\xff\xff")
         with pytest.raises(ProtocolError):
+            list(decoder.frames())
+
+    @pytest.mark.parametrize("header", BAD_HEADERS.values(), ids=BAD_HEADERS)
+    def test_decoder_rejects_header_that_is_not_a_json_object(self, header):
+        decoder = FrameDecoder()
+        decoder.feed(_raw_frame(header))
+        with pytest.raises(ProtocolError, match="frame header"):
             list(decoder.frames())
 
     def test_oversized_frame_refused_at_encode(self):
@@ -266,6 +285,16 @@ class TestArtifactMmapLoad:
             ModelArtifact.load(artifact_paths[0], mmap_mode="r+")
 
 
+def _run_worker(sock, artifact_path):
+    """Fork target: exit with ``worker_main``'s return code, or 2 if it
+    raised — it must never raise across the process boundary."""
+    try:
+        code = worker_main(sock, artifact_path)
+    except Exception:
+        code = 2
+    sys.exit(code)
+
+
 class TestWorkerFrameLoop:
     @pytest.mark.parametrize(
         "tail, code",
@@ -273,16 +302,18 @@ class TestWorkerFrameLoop:
             (b"", 0),
             (encode_frame({"op": "health"})[:-3], 1),
             (b"\xff" * 8, 1),
-        ],
-        ids=["clean-eof", "mid-frame-eof", "oversized-length"],
+        ] + [(_raw_frame(header), 1) for header in BAD_HEADERS.values()],
+        ids=["clean-eof", "mid-frame-eof", "oversized-length"]
+        + [f"bad-header-{kind}" for kind in BAD_HEADERS],
     )
     def test_exit_code_on_hang_up(self, artifact_paths, tail, code):
         # A forked worker answers every whole frame it was sent, then
         # exits 0 when the server hangs up between frames, and 1 when it
-        # hangs up inside a frame or declares a length past the limit.
+        # hangs up inside a frame, declares a length past the limit or
+        # sends a header that is not a JSON object.
         parent, child = socket.socketpair()
         proc = multiprocessing.get_context("fork").Process(
-            target=lambda: sys.exit(worker_main(child, str(artifact_paths[0])))
+            target=_run_worker, args=(child, str(artifact_paths[0]))
         )
         proc.start()
         child.close()
