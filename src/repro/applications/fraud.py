@@ -38,11 +38,15 @@ def _fit(model, y, train_mask, val_mask, epochs, weights):
     optimizer = nn.Adam(model.parameters(), lr=0.01, weight_decay=5e-4)
     trainer = Trainer(model, optimizer, max_epochs=epochs, patience=25)
 
+    # The pair form lets the trainer score an epoch on the next training
+    # forward's logits (see ``Trainer.fit``).
     def loss_fn():
-        return nn.cross_entropy(model(), y, mask=train_mask, class_weights=weights)
+        logits = model()
+        loss = nn.cross_entropy(logits, y, mask=train_mask, class_weights=weights)
+        return loss, logits
 
-    def val_fn() -> float:
-        scores = model().data
+    def val_fn(logits) -> float:
+        scores = (model() if logits is None else logits).data
         probs = scores[:, 1] - scores[:, 0]
         return roc_auc(y[val_mask], probs[val_mask])
 

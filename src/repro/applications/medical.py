@@ -29,11 +29,14 @@ def _train_full_batch(model, y, train_mask, val_mask, epochs, lr=0.01):
     optimizer = nn.Adam(model.parameters(), lr=lr, weight_decay=5e-4)
     trainer = Trainer(model, optimizer, max_epochs=epochs, patience=25)
 
+    # The pair form lets the trainer score an epoch on the next training
+    # forward's logits (see ``Trainer.fit``).
     def loss_fn():
-        return nn.cross_entropy(model(), y, mask=train_mask)
+        logits = model()
+        return nn.cross_entropy(logits, y, mask=train_mask), logits
 
-    def val_fn() -> float:
-        pred = model().data.argmax(axis=1)
+    def val_fn(logits) -> float:
+        pred = (model() if logits is None else logits).data.argmax(axis=1)
         return accuracy(y[val_mask], pred[val_mask])
 
     trainer.fit(loss_fn, val_fn)

@@ -66,12 +66,12 @@ class RowScorer(abc.ABC):
         """Context manager timing one internal stage.
 
         A reusable no-op when no tracer is bound *or* the current request
-        was not sampled for tracing (no open span on this thread).
+        was not sampled for tracing (:meth:`Tracer.stage`).
         """
         tracer = self._tracer
-        if tracer is None or tracer.current() is None:
+        if tracer is None:
             return NULL_CONTEXT
-        return tracer.span(name)
+        return tracer.stage(name)
 
     def compile_plan(self):
         """Build this scorer's compiled :attr:`plan`: the one fast path.

@@ -87,13 +87,18 @@ class KNNGraphClassifier:
             self.model, optimizer, max_epochs=self.max_epochs, patience=self.patience
         )
 
+        # The pair form lets the trainer score an epoch on the next training
+        # forward's logits (see ``Trainer.fit``).
         def loss_fn():
-            return nn.cross_entropy(self.model(), labels, mask=train_mask)
+            logits = self.model()
+            return nn.cross_entropy(logits, labels, mask=train_mask), logits
 
         val_fn = None
         if val_mask is not None and val_mask.any():
-            def val_fn():
-                pred = self.model().data.argmax(axis=1)
+            def val_fn(logits):
+                if logits is None:
+                    logits = self.model()
+                pred = logits.data.argmax(axis=1)
                 return accuracy(labels[val_mask], pred[val_mask])
 
         trainer.fit(loss_fn, val_fn)

@@ -17,6 +17,7 @@ from repro.nn.layers import (
     Linear,
     MLP,
     Sequential,
+    has_train_only_layers,
 )
 from repro.nn import losses
 from repro.nn import optim
@@ -44,6 +45,7 @@ __all__ = [
     "Linear",
     "MLP",
     "Sequential",
+    "has_train_only_layers",
     "losses",
     "optim",
     "binary_cross_entropy_with_logits",

@@ -178,6 +178,19 @@ class BatchNorm1d(Module):
         return ops.add(ops.mul(normed, self.gamma), self.beta)
 
 
+def has_train_only_layers(module: Module) -> bool:
+    """Whether ``module`` computes differently in training mode.
+
+    An active :class:`Dropout` (``p > 0``) and :class:`BatchNorm1d` are the
+    only layers that read ``self.training``; a module holding neither gives
+    the same forward in train and eval mode.
+    """
+    return any(
+        isinstance(m, BatchNorm1d) or (isinstance(m, Dropout) and m.p > 0)
+        for m in module.modules()
+    )
+
+
 class Sequential(Module):
     """Chain layers; each layer is applied to the previous layer's output."""
 

@@ -16,7 +16,9 @@ independently while sharing the histogram family.
 The overhead budget is a few microseconds per span (two clock reads, a
 list push/pop, one histogram observe): cheap enough to leave on in
 production serving.  Code that must support tracing-off call sites can
-use :data:`NULL_CONTEXT`, a reusable no-op context manager.
+use :data:`NULL_CONTEXT`, a reusable no-op context manager;
+:meth:`Tracer.stage` returns it when no span is open on the thread, so
+stages record only inside a sampled request.
 """
 
 from __future__ import annotations
@@ -134,6 +136,18 @@ class Tracer:
     def current(self) -> Optional[Span]:
         stack = getattr(self._local, "stack", None)
         return stack[-1] if stack else None
+
+    def stage(self, name: str):
+        """A span nested in the one open on this thread, else
+        :data:`NULL_CONTEXT`.
+
+        Request-level code opens a sampled root span; the stages inside
+        it call this, so an unsampled request records nothing and pays
+        one attribute lookup per stage.
+        """
+        if getattr(self._local, "stack", None):
+            return Span(self, name)
+        return NULL_CONTEXT
 
     def last_root(self) -> Optional[Span]:
         """The most recent *completed* top-level span on this thread."""

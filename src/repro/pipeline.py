@@ -26,7 +26,7 @@ from __future__ import annotations
 
 import dataclasses
 import time
-from typing import TYPE_CHECKING, Dict, Optional
+from typing import TYPE_CHECKING, Dict, Optional, Tuple
 
 import numpy as np
 
@@ -173,9 +173,17 @@ def run_pipeline(
     spans every row, but only that fraction of labels is used for the loss
     (survey Sec. 2.5d) — the rest supply structure only.
 
+    Training runs one forward per epoch: the loss closure returns the
+    logits with the loss, and the trainer scores epoch ``e``'s validation
+    accuracy on the forward that opens epoch ``e + 1`` (the parameters are
+    still epoch ``e``'s, and the built-in models have no dropout or batch
+    norm).  The last epoch's score and the inference pass run one forward
+    each, so ``max_epochs=30`` runs 32 forwards.
+
     ``registry`` (a :class:`repro.obs.MetricsRegistry`) opts the run into
     observability: the trainer reports per-epoch loss/val-score/duration
-    metrics into it, and each phase's wall-clock lands in a
+    metrics and the per-stage ``repro_train_stage_seconds{stage=...}``
+    split into it, and each phase's wall-clock lands in a
     ``repro_pipeline_phase_seconds{phase=...}`` gauge.
     """
     formulation_impl = formulations.get(formulation)  # raises with choices
@@ -213,7 +221,9 @@ def run_pipeline(
     # --- Phase 4 (wrapping phase 3): training plan -----------------------
     aux_task = None
     if with_auxiliary and fitted.aux_features is not None:
-        aux_task = DenoisingAutoencoderTask(hidden_dim, fitted.aux_features, rng)
+        # The decoder reads ``model.embed``, whose width is the network's
+        # (GAT concatenates its heads), not ``hidden_dim``.
+        aux_task = DenoisingAutoencoderTask(model.embed_dim, fitted.aux_features, rng)
 
     optimizer_params = list(model.parameters())
     if aux_task is not None:
@@ -227,15 +237,20 @@ def run_pipeline(
     counts = np.bincount(y[train_mask], minlength=out_dim).astype(np.float64)
     class_weights = counts.sum() / (out_dim * np.maximum(counts, 1.0))
 
-    def loss_fn() -> Tensor:
-        loss = nn.cross_entropy(forward(), y, mask=train_mask,
+    # The graph spans every row, so the training forward already holds the
+    # validation rows' logits (``Trainer.fit`` says when they are scored).
+    def loss_fn() -> Tuple[Tensor, Tensor]:
+        logits = forward()
+        loss = nn.cross_entropy(logits, y, mask=train_mask,
                                 class_weights=class_weights)
         if aux_task is not None:
             loss = ops.add(loss, ops.mul(Tensor(0.5), aux_task.loss(model.embed)))
-        return loss
+        return loss, logits
 
-    def val_fn() -> float:
-        pred = forward().data.argmax(axis=1)
+    def val_fn(logits: Optional[Tensor]) -> float:
+        if logits is None:
+            logits = forward()
+        pred = logits.data.argmax(axis=1)
         return accuracy(y[val_mask], pred[val_mask])
 
     start = time.perf_counter()

@@ -332,12 +332,12 @@ class InferenceEngine:
         return NULL_CONTEXT
 
     def _span(self, name: str):
-        """A stage span — records only inside a sampled request (i.e.
-        when this thread already has an open span)."""
+        """A stage span — records only inside a sampled request
+        (:meth:`Tracer.stage`)."""
         tracer = self._tracer
-        if tracer is None or tracer.current() is None:
+        if tracer is None:
             return NULL_CONTEXT
-        return tracer.span(name)
+        return tracer.stage(name)
 
     def _observe_request(self, endpoint: str, started: float) -> None:
         hist = self._request_hists.get(endpoint)

@@ -6,10 +6,13 @@ import pytest
 from repro import nn
 from repro.construction.learned import DirectGraphLearner
 from repro.construction.rules import knn_graph
-from repro.datasets import make_correlated_instances, train_val_test_masks
-from repro.gnn.networks import GCN
+from repro.datasets import make_correlated_instances, make_fraud, train_val_test_masks
+from repro.formulations import FittedFormulation
+from repro.gnn.networks import GCN, NETWORKS, build_network
 from repro.metrics import accuracy
-from repro.tensor import Tensor, is_grad_enabled, ops
+from repro.obs import MetricsRegistry
+from repro.pipeline import run_pipeline
+from repro.tensor import Tensor, is_grad_enabled, no_grad, ops
 from repro.training import (
     ContrastiveTask,
     DenoisingAutoencoderTask,
@@ -25,6 +28,7 @@ from repro.training import (
     train_pretrain_finetune,
     train_two_stage,
 )
+from repro.training.trainer import STAGES
 
 RNG = np.random.default_rng(41)
 
@@ -126,6 +130,172 @@ class TestTrainer:
         _, _, model, *_ = tiny_problem()
         with pytest.raises(ValueError):
             Trainer(model, nn.Adam(model.parameters(), lr=0.1), max_epochs=0)
+
+
+def reference_fit(model, optimizer, loss_fn, val_fn, max_epochs, patience):
+    """The trainer loop with a second forward per epoch: every epoch is
+    scored right after its step by an eval-mode, no-grad ``val_fn()``."""
+    history = {"loss": [], "val_score": []}
+    best_score, best_epoch, best_state, bad_epochs = -np.inf, -1, None, 0
+    for epoch in range(1, max_epochs + 1):
+        model.train()
+        loss = loss_fn()
+        optimizer.zero_grad()
+        loss.backward()
+        optimizer.step()
+        history["loss"].append(float(loss.item()))
+        model.eval()
+        with no_grad():
+            score = float(val_fn())
+        history["val_score"].append(score)
+        if score > best_score:
+            best_score, best_epoch, bad_epochs = score, epoch, 0
+            best_state = model.state_dict()
+        else:
+            bad_epochs += 1
+            if patience is not None and bad_epochs > patience:
+                break
+    model.load_state_dict(best_state)
+    model.eval()
+    return history, best_epoch, epoch
+
+
+def counted_problem(kind, dropout=0.0, norm=None):
+    """A fresh seeded model over ``tiny_problem``'s data, with closures in
+    both forms that count the model's forwards."""
+    ds, g, _, train, val, _ = tiny_problem()
+    rng = np.random.default_rng(7)
+    x = Tensor(ds.to_matrix())
+    if kind == "mlp":
+        model = nn.MLP(x.shape[1], (16,), ds.num_classes, rng, norm=norm)
+    else:
+        model = build_network(kind, g, 16, ds.num_classes, rng, dropout=dropout)
+    forwards = [0]
+
+    def forward():
+        forwards[0] += 1
+        return model(x) if kind == "mlp" else model()
+
+    def score(logits):
+        return accuracy(ds.y[val], logits.data.argmax(axis=1)[val])
+
+    def pair_loss():
+        logits = forward()
+        return nn.cross_entropy(logits, ds.y, mask=train), logits
+
+    closures = {
+        "bare": (lambda: pair_loss()[0], lambda: score(forward())),
+        "pair": (pair_loss,
+                 lambda logits: score(forward() if logits is None else logits)),
+    }
+    return model, closures, forwards
+
+
+SHARED_CASES = [
+    (kind, dropout, None, patience, form)
+    for kind in ("gcn", "gat", "gated")
+    for dropout in (0.0, 0.5)
+    for patience in (None, 3)
+    for form in ("bare", "pair")
+] + [("mlp", 0.0, None, 3, "pair"), ("mlp", 0.0, "batch", 3, "pair")]
+
+
+class TestSharedForward:
+    """``Trainer.fit`` scores epoch e on epoch e+1's forward when it can;
+    the result must equal the loop that scores on a forward of its own."""
+
+    EPOCHS = 25
+
+    @pytest.mark.parametrize("kind,dropout,norm,patience,form", SHARED_CASES)
+    def test_matches_reference_loop_with_fewer_forwards(
+            self, kind, dropout, norm, patience, form):
+        ref_model, ref_closures, ref_forwards = counted_problem(kind, dropout, norm)
+        history, best_epoch, epochs_run = reference_fit(
+            ref_model, nn.Adam(ref_model.parameters(), lr=0.01),
+            *ref_closures["bare"], self.EPOCHS, patience)
+
+        model, closures, forwards = counted_problem(kind, dropout, norm)
+        result = Trainer(model, nn.Adam(model.parameters(), lr=0.01),
+                         max_epochs=self.EPOCHS, patience=patience
+                         ).fit(*closures[form])
+
+        assert result.history == history
+        assert result.best_epoch == best_epoch
+        assert result.epochs_run == epochs_run
+        # Every patience-3 case stops early, so the dropped epoch is covered.
+        assert (epochs_run < self.EPOCHS) == (patience is not None)
+        final = model.state_dict()
+        for name, value in ref_model.state_dict().items():
+            assert np.array_equal(final[name], value), name
+
+        assert ref_forwards[0] == 2 * epochs_run
+        shared = form == "pair" and not nn.has_train_only_layers(model)
+        assert shared == (form == "pair" and dropout == 0.0 and norm is None)
+        assert forwards[0] == (epochs_run + 1 if shared else 2 * epochs_run)
+
+    @pytest.mark.parametrize("form", ["bare", "pair"])
+    def test_scoring_closure_never_records_a_graph(self, form):
+        model, closures, _ = counted_problem("gcn")
+        loss_fn, score = closures[form]
+        calls = []
+
+        def val_fn(*args):
+            calls.append((is_grad_enabled(), args))
+            return score(*args)
+
+        Trainer(model, nn.Adam(model.parameters(), lr=0.01),
+                max_epochs=6, patience=None).fit(loss_fn, val_fn)
+        assert [grad for grad, _ in calls] == [False] * 6
+        if form == "bare":
+            assert all(args == () for _, args in calls)
+        else:
+            # Epochs 1-5 read the next training forward's logits; the last
+            # epoch has none and is scored on the closure's own forward.
+            assert all(args[0] is not None for _, args in calls[:5])
+            assert calls[-1][1] == (None,)
+
+
+class TestPipelineTraining:
+    def test_run_pipeline_runs_one_forward_per_epoch(self, monkeypatch):
+        make_forward = FittedFormulation.forward_fn
+        calls = []
+
+        def counting_forward_fn(self, model):
+            forward = make_forward(self, model)
+
+            def counted():
+                calls.append(model.training)
+                return forward()
+            return counted
+
+        monkeypatch.setattr(FittedFormulation, "forward_fn", counting_forward_fn)
+        run_pipeline(make_fraud(n=150, seed=0), max_epochs=30)
+        # 30 training forwards, the last epoch's score and inference.
+        assert len(calls) == 32
+        assert calls == [True] * 30 + [False, False]
+
+    def test_trainer_reports_its_stages(self):
+        registry = MetricsRegistry()
+        run_pipeline(make_fraud(n=150, seed=0), max_epochs=12, registry=registry)
+        epochs = registry.get("repro_train_epoch_duration_seconds")
+        stages = registry.get("repro_train_stage_seconds")
+        assert epochs.count == 12
+        stage_sum = 0.0
+        for stage in STAGES:
+            child = stages.labels(stage=stage)
+            assert child.count == 12, stage
+            stage_sum += child.sum
+        assert abs(stage_sum - epochs.sum) <= 0.05 * epochs.sum
+        assert registry.get("repro_train_epochs_total").value == 12
+
+    @pytest.mark.parametrize("network", sorted(NETWORKS))
+    def test_every_instance_network_trains_with_auxiliary_task(self, network):
+        registry = MetricsRegistry()
+        result = run_pipeline(make_fraud(n=150, seed=0), network=network,
+                              max_epochs=3, with_auxiliary=True,
+                              registry=registry)
+        assert np.isfinite(registry.get("repro_train_loss").value)
+        assert 0.0 <= result.test_accuracy <= 1.0
 
 
 class TestAuxiliaryTasks:
