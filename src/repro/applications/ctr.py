@@ -19,6 +19,7 @@ from repro.datasets.preprocessing import train_val_test_masks
 from repro.datasets.tabular import TabularDataset
 from repro.metrics import log_loss, roc_auc
 from repro.models import FiGNN
+from repro.tensor import Tensor
 from repro.training.trainer import Trainer
 
 
@@ -43,10 +44,16 @@ def train_fignn(
 
     def loss_fn():
         logits = model(dataset)
-        return nn.binary_cross_entropy_with_logits(logits, y, mask=train_mask)
+        loss = nn.binary_cross_entropy_with_logits(logits, y, mask=train_mask)
+        return loss, logits
 
-    def val_fn() -> float:
-        probs = model.predict_proba(dataset)
+    def val_fn(logits: Optional[Tensor]) -> float:
+        # The training forward scores every row, so the trainer hands its
+        # logits here; the last epoch has none and runs its own forward.
+        if logits is None:
+            probs = model.predict_proba(dataset)
+        else:
+            probs = model.probabilities(logits.data)
         return roc_auc(y[val_mask], probs[val_mask])
 
     trainer.fit(loss_fn, val_fn)

@@ -101,7 +101,11 @@ class FiGNN(nn.Module):
         return logits
 
     def predict_proba(self, dataset: TabularDataset) -> np.ndarray:
-        logits = self.forward(dataset).data
+        return self.probabilities(self.forward(dataset).data)
+
+    def probabilities(self, logits: np.ndarray) -> np.ndarray:
+        """Click (``out_dim == 1``) or class probabilities of
+        :meth:`forward`'s logits."""
         if self.out_dim == 1:
             return 1.0 / (1.0 + np.exp(-np.clip(logits, -60, 60)))
         shifted = logits - logits.max(axis=1, keepdims=True)

@@ -11,8 +11,14 @@ Design notes
   integer array (used only for index tensors, which never require grad).
 * Broadcasting is fully supported: gradients flowing into a broadcast
   operand are summed over the broadcast axes (see :func:`unbroadcast`).
-* The graph is dynamic (define-by-run) and freed after ``backward`` unless
-  ``retain_graph=True``.
+* The graph is dynamic (define-by-run), and ``backward`` frees it while
+  it walks it: once a non-leaf's closure has run, its gradient, closure
+  and parent links are dropped, so intermediates that nothing else
+  references are released during the pass, not at the next forward.
+  Leaf gradients (parameters, inputs made with ``requires_grad=True``)
+  survive for the optimizer.  A later ``backward`` that reaches a freed
+  node raises ``RuntimeError``; reuse a value across passes through
+  :meth:`Tensor.detach`.
 """
 
 from __future__ import annotations
@@ -72,6 +78,14 @@ def unbroadcast(grad: np.ndarray, shape: tuple) -> np.ndarray:
     if axes:
         grad = grad.sum(axis=axes, keepdims=True)
     return grad.reshape(shape)
+
+
+def _freed_graph(grad: np.ndarray) -> None:
+    """Closure slot of a non-leaf whose graph ``backward`` has freed."""
+    raise RuntimeError(
+        "backward() reached a tensor whose graph an earlier backward() freed; "
+        "to use its value in a new graph, take tensor.detach()"
+    )
 
 
 def _as_array(data: ArrayLike) -> np.ndarray:
@@ -186,18 +200,44 @@ class Tensor:
             self._backward = backward
 
     def _accumulate(self, grad: np.ndarray) -> None:
-        if self.grad is None:
-            self.grad = np.array(grad, dtype=np.float64, copy=True)
+        """Add ``grad`` into this tensor's gradient.
+
+        A leaf (no closure) owns a private, writable copy and sums later
+        gradients into it in place: the optimizers and ``clip_grad_norm``
+        write leaf gradients in place.  A non-leaf keeps the array its
+        consumer passed, by reference (a sibling may hold the same array,
+        or it may be a read-only broadcast view), and a second gradient
+        allocates a new array, so no array is written that another node
+        holds.  :meth:`backward` drops a non-leaf's gradient once its
+        closure has run.
+        """
+        if self._backward is None:
+            if self.grad is None:
+                self.grad = np.array(grad, dtype=np.float64, copy=True)
+            else:
+                self.grad += grad
+        elif self.grad is None:
+            self.grad = np.asarray(grad, dtype=np.float64)
         else:
-            self.grad += grad
+            self.grad = self.grad + grad
 
     def zero_grad(self) -> None:
         self.grad = None
 
     def backward(self, grad: Optional[np.ndarray] = None) -> None:
-        """Backpropagate from this tensor.
+        """Backpropagate from this tensor, freeing the graph as it goes.
 
         ``grad`` defaults to ``1.0`` and is only optional for scalar outputs.
+        Nodes run in reverse topological order, so a node's closure runs
+        once every consumer has passed it its gradient.  Right before the
+        closure runs, the node's gradient, closure and parent links are
+        dropped: its gradient is released when the closure returns, and a
+        node that only the graph referenced is released with it.  This
+        tensor's ``data`` stays readable (``loss.item()``) and leaf
+        gradients stay for the optimizer.  A freed node keeps
+        ``requires_grad`` and holds a closure that raises, so a second
+        ``backward`` through it fails with ``RuntimeError`` rather than
+        propagating a stale or missing gradient.
         """
         if not self.requires_grad:
             raise RuntimeError("backward() called on a tensor that does not require grad")
@@ -228,9 +268,14 @@ class Tensor:
                     stack.append((parent, False))
 
         self._accumulate(grad)
-        for node in reversed(order):
-            if node._backward is not None and node.grad is not None:
-                node._backward(node.grad)
+        while order:
+            node = order.pop()
+            if node._backward is None or node.grad is None:
+                continue
+            node_grad, node.grad = node.grad, None
+            closure, node._backward = node._backward, _freed_graph
+            node._prev = ()
+            closure(node_grad)
 
     # ------------------------------------------------------------------
     # operators (implemented in ops.py, bound lazily to avoid circularity)

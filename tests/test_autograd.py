@@ -1,11 +1,18 @@
 """Unit tests for the autograd engine: every op checked against finite differences."""
 
 import threading
+import tracemalloc
 
 import numpy as np
 import pytest
 import scipy.sparse as sp
 
+from repro import nn
+from repro.construction.intrinsic import multiplex_from_dataset
+from repro.construction.rules import knn_graph
+from repro.datasets import make_fraud
+from repro.gnn.networks import build_network
+from repro.models import TabGNN
 from repro.tensor import Tensor, is_grad_enabled, no_grad, ops
 
 
@@ -439,3 +446,89 @@ class TestGraphMechanics:
         x = Tensor(np.array([3.0]), requires_grad=True)
         (x**2).backward()
         np.testing.assert_allclose(x.grad, [6.0])
+
+    def test_second_backward_through_a_freed_graph_raises(self):
+        x = Tensor(np.array([1.0, 2.0]), requires_grad=True)
+        y = ops.mul(x, x)
+        loss = ops.sum(y)
+        loss.backward()
+        np.testing.assert_array_equal(x.grad, [2.0, 4.0])
+        # ``y``'s graph is gone: a second pass through it must raise, not
+        # propagate ``y``'s stale gradient again (x.grad would read [8, 16])
+        # nor drop it silently.
+        with pytest.raises(RuntimeError, match="detach"):
+            ops.sum(ops.mul(Tensor(2.0), y)).backward()
+        with pytest.raises(RuntimeError, match="detach"):
+            loss.backward()
+        np.testing.assert_array_equal(x.grad, [2.0, 4.0])
+        assert y.requires_grad and loss.requires_grad
+        # The value itself is still usable in a new graph.
+        ops.sum(ops.mul(x, y.detach())).backward()
+        np.testing.assert_array_equal(x.grad, [3.0, 8.0])
+
+    def test_backward_releases_the_graph(self):
+        x_data = np.array([0.5, -1.0, 2.0])
+        # A chain x -> 3x -> tanh -> sum and a diamond x -> (x*x, exp x) -> + -> sum.
+        x = Tensor(x_data.copy(), requires_grad=True)
+        scaled = ops.mul(x, Tensor(3.0))
+        squashed = ops.tanh(scaled)
+        chain = [scaled, squashed, ops.sum(squashed)]
+        u = Tensor(x_data.copy(), requires_grad=True)
+        square, grown = ops.mul(u, u), ops.exp(u)
+        joined = ops.add(square, grown)
+        diamond = [square, grown, joined, ops.sum(joined)]
+        for nodes in (chain, diamond):
+            loss = nodes[-1]
+            value = loss.data.copy()
+            loss.backward()
+            for node in nodes:
+                assert node.grad is None and node._prev == ()
+                assert node.requires_grad
+            assert loss.item() == value
+        np.testing.assert_allclose(x.grad, 3.0 * (1.0 - np.tanh(3.0 * x_data) ** 2))
+        np.testing.assert_allclose(u.grad, 2.0 * x_data + np.exp(x_data))
+
+    def test_leaf_gradients_are_private_and_writable(self):
+        # ``add`` hands both operands the same array; each leaf must copy it.
+        a, b = nn.Parameter(np.ones(3)), nn.Parameter(np.ones(3))
+        ops.sum(ops.add(a, b)).backward()
+        assert not np.shares_memory(a.grad, b.grad)
+        assert a.grad.flags.writeable and b.grad.flags.writeable
+        norm = nn.SGD([a, b], lr=0.1).clip_grad_norm(1.0)
+        assert norm == pytest.approx(np.sqrt(6.0))
+        np.testing.assert_allclose(a.grad, np.full(3, 1.0 / np.sqrt(6.0)))
+        np.testing.assert_allclose(b.grad, np.full(3, 1.0 / np.sqrt(6.0)))
+
+        x = Tensor(np.ones((2, 3)), requires_grad=True)
+        ops.mean(x).backward()
+        assert x.grad.flags.writeable
+        x.grad *= 6.0
+        np.testing.assert_array_equal(x.grad, np.ones((2, 3)))
+        # A read-only broadcast gradient reaches the leaf as a private copy.
+        v = Tensor(np.ones((2, 3)), requires_grad=True)
+        ops.add(v, Tensor(0.0)).backward(np.broadcast_to(1.0, (2, 3)))
+        assert v.grad.flags.writeable and v.grad.base is None
+
+    @pytest.mark.parametrize("model_name", ["tabgnn", "gat"])
+    def test_backward_holds_only_parameter_gradients(self, model_name):
+        ds = make_fraud(n=300, seed=0)
+        rng = np.random.default_rng(0)
+        if model_name == "tabgnn":
+            model = TabGNN(multiplex_from_dataset(ds), 16, 2, rng)
+        else:
+            graph = knn_graph(ds.to_matrix(), k=5, y=ds.y)
+            model = build_network("gat", graph, 16, 2, rng)
+        # A first pass fills the graph's memoized operators.
+        nn.cross_entropy(model(), ds.y).backward()
+        model.zero_grad()
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            loss = nn.cross_entropy(model(), ds.y)
+            loss.backward()
+            held = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        grad_bytes = sum(p.grad.nbytes for p in model.parameters())
+        assert np.isfinite(loss.item())
+        assert held <= grad_bytes + 64 * 1024, (held, grad_bytes)

@@ -4,12 +4,19 @@ import numpy as np
 import pytest
 
 from repro import nn
+from repro.applications.ctr import train_fignn
 from repro.construction.learned import DirectGraphLearner
 from repro.construction.rules import knn_graph
-from repro.datasets import make_correlated_instances, make_fraud, train_val_test_masks
+from repro.datasets import (
+    make_correlated_instances,
+    make_ctr,
+    make_fraud,
+    train_val_test_masks,
+)
 from repro.formulations import FittedFormulation
 from repro.gnn.networks import GCN, NETWORKS, build_network
-from repro.metrics import accuracy
+from repro.metrics import accuracy, roc_auc
+from repro.models import FiGNN
 from repro.obs import MetricsRegistry
 from repro.pipeline import run_pipeline
 from repro.tensor import Tensor, is_grad_enabled, no_grad, ops
@@ -253,6 +260,35 @@ class TestSharedForward:
             # epoch has none and is scored on the closure's own forward.
             assert all(args[0] is not None for _, args in calls[:5])
             assert calls[-1][1] == (None,)
+
+    def test_train_fignn_scores_on_its_training_forward(self, monkeypatch):
+        ds = make_ctr(n=120, num_users=5, num_items=4, seed=0)
+        train, val, _ = train_val_test_masks(120, 0.6, 0.2, np.random.default_rng(0),
+                                             stratify=ds.y)
+        forward, forwards = FiGNN.forward, [0]
+
+        def counted(self, dataset):
+            forwards[0] += 1
+            return forward(self, dataset)
+
+        monkeypatch.setattr(FiGNN, "forward", counted)
+        epochs = 8
+        model = train_fignn(ds, train, val, embed_dim=8, epochs=epochs, seed=0)
+        # One forward per epoch, plus the last epoch's own score.
+        assert forwards[0] == epochs + 1
+
+        # The loop with a bare closure, on an identical model.
+        ref = FiGNN(ds.cardinalities, 8, np.random.default_rng(0),
+                    num_numerical=ds.num_numerical)
+        _, _, epochs_run = reference_fit(
+            ref, nn.Adam(ref.parameters(), lr=0.01, weight_decay=1e-5),
+            lambda: nn.binary_cross_entropy_with_logits(ref(ds), ds.y, mask=train),
+            lambda: roc_auc(ds.y[val], ref.predict_proba(ds)[val]),
+            epochs, patience=25)
+        assert epochs_run == epochs
+        final = model.state_dict()
+        for name, value in ref.state_dict().items():
+            assert np.array_equal(final[name], value), name
 
 
 class TestPipelineTraining:
