@@ -107,18 +107,16 @@ def test_graph_autoencoder_unsupervised(benchmark):
 
     def run():
         graph = knn_graph(x, k=8)
-        adjacency = graph.gcn_adjacency()
         model = GraphAutoencoder(x.shape[1], (32,), 16, np.random.default_rng(0))
         opt = nn.Adam(model.parameters(), lr=0.01)
         loss_rng = np.random.default_rng(1)
         features = Tensor(x)
         for _ in range(EPOCHS):
-            loss = model.reconstruction_loss(features, adjacency, graph.edge_index,
-                                             loss_rng)
+            loss = model.reconstruction_loss(features, graph, loss_rng)
             opt.zero_grad()
             loss.backward()
             opt.step()
-        scores = model.anomaly_scores(features, adjacency)
+        scores = model.anomaly_scores(features, graph)
         return roc_auc(anomaly_ds.y, scores)
 
     auc = once(benchmark, run)

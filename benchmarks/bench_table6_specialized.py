@@ -14,6 +14,7 @@ from repro.construction.intrinsic import multiplex_from_dataset
 from repro.construction.rules import knn_edges, knn_graph
 from repro.datasets import make_anomaly, make_fraud, train_val_test_masks
 from repro.gnn.attention import GATConv
+from repro.graph import Graph
 from repro.metrics import accuracy, roc_auc
 from repro.models import FATE, LUNAR, TabGNN
 from repro.tensor import Tensor
@@ -72,7 +73,12 @@ def test_edge_feature_attention(benchmark):
     train, val, test = train_val_test_masks(275, 0.6, 0.2, rng, stratify=ds.y)
 
     edge_index, distances = knn_edges(x, k=8, include_distances=True)
-    edge_feat = Tensor((distances / distances.max()).reshape(-1, 1))
+    view = Graph(x.shape[0], edge_index).edge_view("attention")
+    # One feature row per view edge: the scaled distance of each kNN edge,
+    # then a zero for each self loop the view appends.
+    edge_feat = Tensor(np.concatenate([
+        (distances / distances.max()).reshape(-1, 1), np.zeros((x.shape[0], 1))
+    ]))
 
     def build(with_edges):
         layer_rng = np.random.default_rng(0)
@@ -91,9 +97,9 @@ def test_edge_feature_attention(benchmark):
             opt = nn.Adam(params, lr=0.01)
 
             def forward():
-                h = ops.elu(conv1(Tensor(x), edge_index,
-                                  edge_feat if with_edges else None))
-                return conv2(h, edge_index)
+                h = ops.elu(conv1.propagate(Tensor(x), view,
+                                            edge_feat if with_edges else None))
+                return conv2.propagate(h, view)
 
             for _ in range(EPOCHS):
                 loss = nn.cross_entropy(forward(), ds.y, mask=train)

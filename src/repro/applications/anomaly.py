@@ -37,18 +37,17 @@ def gae_scores(
     """Graph-autoencoder reconstruction error on the kNN graph."""
     rng = np.random.default_rng(seed)
     graph = knn_graph(x, k=k)
-    adjacency = graph.gcn_adjacency()
     model = GraphAutoencoder(x.shape[1], (32,), 16, rng)
     optimizer = nn.Adam(model.parameters(), lr=0.01)
     features = Tensor(x)
     for _ in range(epochs):
         model.train()
-        loss = model.reconstruction_loss(features, adjacency, graph.edge_index, rng)
+        loss = model.reconstruction_loss(features, graph, rng)
         optimizer.zero_grad()
         loss.backward()
         optimizer.step()
     model.eval()
-    return model.anomaly_scores(features, adjacency)
+    return model.anomaly_scores(features, graph)
 
 
 def run_anomaly_detection(

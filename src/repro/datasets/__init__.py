@@ -33,7 +33,6 @@ from repro.datasets import preprocessing
 from repro.datasets.preprocessing import (
     KBinsDiscretizer,
     MinMaxScaler,
-    OneHotEncoder,
     OrdinalEncoder,
     StandardScaler,
     TabularPreprocessor,
@@ -54,7 +53,6 @@ __all__ = [
     "preprocessing",
     "KBinsDiscretizer",
     "MinMaxScaler",
-    "OneHotEncoder",
     "OrdinalEncoder",
     "StandardScaler",
     "TabularPreprocessor",

@@ -69,39 +69,6 @@ class MinMaxScaler:
         return np.asarray(x, dtype=np.float64) * self.range_ + self.min_
 
 
-class OneHotEncoder:
-    """One-hot encode integer category codes; ``-1`` (missing) → all-zero row."""
-
-    def __init__(self) -> None:
-        self.cardinalities_: Optional[list[int]] = None
-
-    def fit(self, codes: np.ndarray) -> "OneHotEncoder":
-        codes = np.asarray(codes, dtype=np.int64)
-        self.cardinalities_ = [
-            int(codes[:, j].max()) + 1 if (codes[:, j] >= 0).any() else 0
-            for j in range(codes.shape[1])
-        ]
-        return self
-
-    def transform(self, codes: np.ndarray) -> np.ndarray:
-        if self.cardinalities_ is None:
-            raise RuntimeError("encoder must be fit before transform")
-        codes = np.asarray(codes, dtype=np.int64)
-        blocks = []
-        for j, card in enumerate(self.cardinalities_):
-            block = np.zeros((codes.shape[0], card))
-            col = codes[:, j]
-            observed = (col >= 0) & (col < card)
-            block[np.nonzero(observed)[0], col[observed]] = 1.0
-            blocks.append(block)
-        if not blocks:
-            return np.zeros((codes.shape[0], 0))
-        return np.concatenate(blocks, axis=1)
-
-    def fit_transform(self, codes: np.ndarray) -> np.ndarray:
-        return self.fit(codes).transform(codes)
-
-
 class OrdinalEncoder:
     """Map arbitrary hashable column values to dense integer codes."""
 
@@ -182,11 +149,10 @@ def bin_codes(column: np.ndarray, edges: np.ndarray) -> np.ndarray:
 class TabularPreprocessor:
     """Fit-once / transform-many featurization with train/serve parity.
 
-    The transductive pipeline historically standardized with statistics of
-    whatever matrix it was handed (``TabularDataset.to_matrix`` or the
-    pipeline's ``_field_matrix``), refitting on every call.  That is fine
-    in-process but creates train/serve skew the moment rows arrive that the
-    training run never saw.  This class separates the two concerns:
+    Standardizing with statistics of whatever matrix is at hand, refitting
+    on every call, is fine in-process but creates train/serve skew the
+    moment rows arrive that the training run never saw.  This class
+    separates the two concerns:
 
     * :meth:`fit` computes NaN-aware statistics once (optionally restricted
       to the training rows via ``row_mask``) and freezes the categorical
@@ -198,7 +164,8 @@ class TabularPreprocessor:
     Two output modes cover the two row-wise formulations:
 
     * ``"onehot"`` — z-scored numericals + one-hot categoricals, the
-      instance-graph feature space (``TabularDataset.to_matrix``);
+      instance-graph feature space (``TabularDataset.to_matrix`` is this
+      mode fit on every row of the table);
     * ``"fields"`` — one standardized column per original field (numerical
       + ordinal codes), the feature-graph tokenizer input
       (``pipeline._field_matrix``).

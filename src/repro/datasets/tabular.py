@@ -11,6 +11,8 @@ from typing import Dict, List, Optional, Sequence
 
 import numpy as np
 
+from repro.datasets.preprocessing import TabularPreprocessor
+
 TASKS = ("binary", "multiclass", "regression")
 
 
@@ -114,37 +116,17 @@ class TabularDataset:
         return self.numerical_names + self.categorical_names
 
     # ------------------------------------------------------------------
-    def to_matrix(self, one_hot: bool = True, standardize: bool = True) -> np.ndarray:
-        """Flatten into a single dense float matrix.
+    def to_matrix(self) -> np.ndarray:
+        """Flatten into one dense float matrix: z-scored numericals, then
+        one-hot categoricals.
 
-        Categorical columns are one-hot encoded (or left as raw codes when
-        ``one_hot=False``); numerical columns are z-scored when
-        ``standardize``.  Missing numericals become 0 after standardization;
-        missing categoricals get an all-zero one-hot block.
+        This is the ``"onehot"``
+        :class:`~repro.datasets.preprocessing.TabularPreprocessor` fit on
+        every row of the table: missing numericals become 0 after
+        standardization and a missing categorical gets an all-zero one-hot
+        block.
         """
-        blocks: List[np.ndarray] = []
-        if self.num_numerical:
-            num = self.numerical.copy()
-            if standardize:
-                mean = np.nanmean(num, axis=0)
-                std = np.nanstd(num, axis=0)
-                std = np.where(std > 0, std, 1.0)
-                num = (num - mean) / std
-            num = np.nan_to_num(num, nan=0.0)
-            blocks.append(num)
-        if self.num_categorical:
-            if one_hot:
-                for j, card in enumerate(self.cardinalities):
-                    block = np.zeros((self.num_instances, card))
-                    col = self.categorical[:, j]
-                    observed = col >= 0
-                    block[np.nonzero(observed)[0], col[observed]] = 1.0
-                    blocks.append(block)
-            else:
-                blocks.append(self.categorical.astype(np.float64))
-        if not blocks:
-            return np.zeros((self.num_instances, 0))
-        return np.concatenate(blocks, axis=1)
+        return TabularPreprocessor(mode="onehot").fit_transform(self)
 
     def global_value_ids(self) -> np.ndarray:
         """Categorical codes shifted so ids are unique across columns.

@@ -222,14 +222,16 @@ class MultiplexFormulation(Formulation):
         specs = value_column_specs(
             dataset, n_bins=n_bins, include_numerical_bins=include_bins
         )
+        # Node features and serve-time rows go through one unmasked onehot
+        # fit, so a served training row sees its training features exactly.
+        preprocessor = TabularPreprocessor(mode="onehot").fit(dataset)
         graph = MultiplexGraph(
-            dataset.num_instances, x=dataset.to_matrix(), y=dataset.y
+            dataset.num_instances,
+            x=preprocessor.transform_dataset(dataset),
+            y=dataset.y,
         )
         for spec in specs:
             graph.add_value_layer(spec.name, spec.codes)
-        # The node features are dataset.to_matrix(); an unmasked onehot fit
-        # reproduces that transform exactly for serve-time rows.
-        preprocessor = TabularPreprocessor(mode="onehot").fit(dataset)
         return self.fitted_cls(
             graph, specs, _build_vocabularies(specs), preprocessor, config
         )

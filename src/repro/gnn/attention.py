@@ -5,12 +5,15 @@ design (Table 6, LUNAR [44]): per-edge scalars (e.g. neighbor distances)
 enter the attention logits through a learned projection, so the learned
 representation preserves distance information.
 
-Like the operator convs, GAT speaks the edge-wise substrate: ``propagate``
-consumes an :class:`~repro.graph.homogeneous.EdgeView` (flavor
-``"attention"`` — raw edges with self loops baked in at view-construction
-time, so frozen-graph training loops stop rebuilding the self-loop block
-every call).  ``forward(x, edge_index)`` is the compat path that derives a
-one-shot view from a raw edge index.
+Like the operator convs, GAT has one entry point, ``propagate(h, view)``
+over an :class:`~repro.graph.homogeneous.EdgeView` of flavor
+``"attention"``: a graph's raw edges followed by one self loop per node,
+baked in when :meth:`~repro.graph.Graph.edge_view` builds the view, so
+frozen-graph training loops never rebuild the self-loop block.  There is
+no path over a raw edge index.  Edge features follow the view's edge
+order, self loops last: a caller with one feature row per graph edge
+appends the loop rows itself (zeros, say), and ``propagate`` rejects a
+row count other than the view's edge count.
 
 Aggregation is one per-head sparse product
 (:func:`~repro.tensor.ops.edge_weighted_sum`): the attention weights fill a
@@ -41,10 +44,6 @@ class GATConv(nn.Module):
         ``concat_heads=False`` (final layers) else concatenated.
     edge_dim:
         If given, per-edge feature vectors of this width modulate attention.
-    add_self_loops:
-        Append one self loop per node (with zero edge features) so every
-        node attends at least to itself.  Only consulted by ``forward``;
-        ``propagate`` expects any loops to be baked into the view already.
     """
 
     view_kind = "attention"
@@ -58,14 +57,12 @@ class GATConv(nn.Module):
         concat_heads: bool = False,
         edge_dim: Optional[int] = None,
         negative_slope: float = 0.2,
-        add_self_loops: bool = True,
     ) -> None:
         super().__init__()
         self.num_heads = num_heads
         self.out_features = out_features
         self.concat_heads = concat_heads
         self.negative_slope = negative_slope
-        self.add_self_loops = add_self_loops
         self.weight = nn.Parameter(
             tinit.glorot_uniform((in_features, num_heads * out_features), rng)
         )
@@ -95,7 +92,22 @@ class GATConv(nn.Module):
         on a bipartite attach view each query's attention is a softmax over
         exactly its k retrieved neighbors plus its self loop — the same
         computation the full graph would produce for that node.
+
+        ``edge_features`` holds one row per view edge, in view order (on a
+        graph's ``"attention"`` view: one row per graph edge, then one per
+        self loop).  It is required when the layer was built with
+        ``edge_dim`` and rejected otherwise.
         """
+        if self.edge_proj is None:
+            if edge_features is not None:
+                raise ValueError("edge features given to a layer built without edge_dim")
+        elif edge_features is None:
+            raise ValueError("layer was built with edge_dim but no edge features given")
+        elif edge_features.shape[0] != view.num_edges:
+            raise ValueError(
+                f"got {edge_features.shape[0]} edge-feature rows for a view of "
+                f"{view.num_edges} edges (self loops included)"
+            )
         num_nodes = x.shape[0]
         src, dst = view.src, view.dst
 
@@ -107,8 +119,6 @@ class GATConv(nn.Module):
         node_dst = ops.sum(ops.mul(h, self.att_dst), axis=-1)
         scores = ops.add(ops.gather_rows(node_src, src), ops.gather_rows(node_dst, dst))
         if self.edge_proj is not None:
-            if edge_features is None:
-                raise ValueError("layer was built with edge_dim but no edge features given")
             scores = ops.add(scores, self.edge_proj(edge_features))
         scores = ops.leaky_relu(scores, self.negative_slope)
 
@@ -122,18 +132,3 @@ class GATConv(nn.Module):
         else:
             out = ops.mean(aggregated, axis=1)
         return ops.add(out, self.bias)
-
-    def forward(
-        self,
-        x: Tensor,
-        edge_index: np.ndarray,
-        edge_features: Optional[Tensor] = None,
-    ) -> Tensor:
-        num_nodes = x.shape[0]
-        view = EdgeView.from_edge_index(
-            edge_index, num_nodes, add_self_loops=self.add_self_loops
-        )
-        if self.add_self_loops and edge_features is not None:
-            zeros = Tensor(np.zeros((num_nodes, edge_features.shape[1])))
-            edge_features = ops.concat([edge_features, zeros], axis=0)
-        return self.propagate(x, view, edge_features)

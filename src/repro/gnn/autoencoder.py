@@ -3,18 +3,21 @@
 Used by the survey's anomaly-detection line (MST-GRA, GAEOD): the encoder
 is a GCN stack, the decoder reconstructs (a) the adjacency via inner
 products and/or (b) the node features via a linear decoder; reconstruction
-error is the anomaly score.
+error is the anomaly score.  Every method takes the
+:class:`~repro.graph.Graph` itself: the encoder runs each layer over
+``graph.edge_view("gcn")`` (the symmetric-normalized adjacency with self
+loops) and the edge decoder's positive pairs are ``graph.edge_index``.
 """
 
 from __future__ import annotations
 
-from typing import Optional, Sequence, Tuple
+from typing import Sequence
 
 import numpy as np
-import scipy.sparse as sp
 
 from repro import nn
 from repro.gnn.conv import GCNConv
+from repro.graph.homogeneous import Graph
 from repro.tensor import Tensor, ops
 
 
@@ -35,10 +38,11 @@ class GraphAutoencoder(nn.Module):
         )
         self.feature_decoder = nn.Linear(latent_dim, in_features, rng)
 
-    def encode(self, x: Tensor, adjacency: sp.spmatrix) -> Tensor:
+    def encode(self, x: Tensor, graph: Graph) -> Tensor:
+        """Latent node codes of features ``x`` over ``graph``'s edges."""
         h = x
         for i, conv in enumerate(self.encoder_layers):
-            h = conv(h, adjacency)
+            h = conv.propagate(h, graph.edge_view(conv.view_kind))
             if i < len(self.encoder_layers) - 1:
                 h = ops.relu(h)
         return h
@@ -55,18 +59,22 @@ class GraphAutoencoder(nn.Module):
     def reconstruction_loss(
         self,
         x: Tensor,
-        adjacency: sp.spmatrix,
-        edge_index: np.ndarray,
+        graph: Graph,
         rng: np.random.Generator,
         feature_weight: float = 1.0,
         structure_weight: float = 1.0,
     ) -> Tensor:
-        """Feature MSE + balanced positive/negative edge BCE."""
-        z = self.encode(x, adjacency)
+        """Feature MSE + balanced positive/negative edge BCE.
+
+        The positives are ``graph``'s edges, the negatives as many node
+        pairs drawn uniformly from ``rng``.
+        """
+        z = self.encode(x, graph)
         loss = ops.mul(
             Tensor(feature_weight),
             nn.losses.mse_loss(self.decode_features(z), x.data),
         )
+        edge_index = graph.edge_index
         num_pos = edge_index.shape[1]
         if structure_weight > 0 and num_pos > 0:
             n = x.shape[0]
@@ -83,8 +91,8 @@ class GraphAutoencoder(nn.Module):
             )
         return loss
 
-    def anomaly_scores(self, x: Tensor, adjacency: sp.spmatrix) -> np.ndarray:
+    def anomaly_scores(self, x: Tensor, graph: Graph) -> np.ndarray:
         """Per-node feature reconstruction error (higher = more anomalous)."""
-        z = self.encode(x, adjacency)
+        z = self.encode(x, graph)
         recon = self.decode_features(z)
         return np.mean((recon.data - x.data) ** 2, axis=1)

@@ -153,64 +153,45 @@ class _NodeNetwork(nn.Module):
         ]
 
 
-class GCN(_NodeNetwork):
+class _ConvStack(_NodeNetwork):
+    """A stack of one conv family: ``len(hidden_dims) + 1`` layers of
+    :attr:`conv_cls`, embeddings being everything up to the final conv."""
+
+    conv_cls: type
+
+    def __init__(
+        self,
+        graph: Graph,
+        hidden_dims: Sequence[int],
+        out_dim: int,
+        rng: np.random.Generator,
+        dropout: float = 0.0,
+    ) -> None:
+        super().__init__(graph, rng, dropout)
+        widths = [graph.num_features, *hidden_dims, out_dim]
+        self.convs = nn.ModuleList(
+            [self.conv_cls(widths[i], widths[i + 1], rng) for i in range(len(widths) - 1)]
+        )
+        self._embed_dim = widths[-2]
+        self._conv_plan()
+
+
+class GCN(_ConvStack):
     """Multi-layer GCN [77] on the symmetric-normalized adjacency."""
 
-    def __init__(
-        self,
-        graph: Graph,
-        hidden_dims: Sequence[int],
-        out_dim: int,
-        rng: np.random.Generator,
-        dropout: float = 0.0,
-    ) -> None:
-        super().__init__(graph, rng, dropout)
-        widths = [graph.num_features, *hidden_dims, out_dim]
-        self.convs = nn.ModuleList(
-            [GCNConv(widths[i], widths[i + 1], rng) for i in range(len(widths) - 1)]
-        )
-        self._embed_dim = widths[-2]
-        self._conv_plan()
+    conv_cls = GCNConv
 
 
-class GraphSAGE(_NodeNetwork):
+class GraphSAGE(_ConvStack):
     """Multi-layer GraphSAGE [52] with mean aggregation."""
 
-    def __init__(
-        self,
-        graph: Graph,
-        hidden_dims: Sequence[int],
-        out_dim: int,
-        rng: np.random.Generator,
-        dropout: float = 0.0,
-    ) -> None:
-        super().__init__(graph, rng, dropout)
-        widths = [graph.num_features, *hidden_dims, out_dim]
-        self.convs = nn.ModuleList(
-            [SAGEConv(widths[i], widths[i + 1], rng) for i in range(len(widths) - 1)]
-        )
-        self._embed_dim = widths[-2]
-        self._conv_plan()
+    conv_cls = SAGEConv
 
 
-class GIN(_NodeNetwork):
+class GIN(_ConvStack):
     """Multi-layer GIN [151] with sum aggregation."""
 
-    def __init__(
-        self,
-        graph: Graph,
-        hidden_dims: Sequence[int],
-        out_dim: int,
-        rng: np.random.Generator,
-        dropout: float = 0.0,
-    ) -> None:
-        super().__init__(graph, rng, dropout)
-        widths = [graph.num_features, *hidden_dims, out_dim]
-        self.convs = nn.ModuleList(
-            [GINConv(widths[i], widths[i + 1], rng) for i in range(len(widths) - 1)]
-        )
-        self._embed_dim = widths[-2]
-        self._conv_plan()
+    conv_cls = GINConv
 
 
 class GAT(_NodeNetwork):
@@ -243,9 +224,10 @@ class GAT(_NodeNetwork):
 class GatedGNN(_NodeNetwork):
     """Projection + GatedGraphConv (GGNN [82]) + linear head.
 
-    The plan expands the gated conv into ``num_steps`` propagate steps over
-    the same module, so the compiled serving plan folds in the pool's GRU
-    state at every step boundary.
+    The network owns the step count: its plan expands the gated conv into
+    ``num_steps`` (at least 1) propagate steps over the same module, so the
+    compiled serving plan folds in the pool's GRU state at every step
+    boundary.
     """
 
     def __init__(
@@ -257,9 +239,11 @@ class GatedGNN(_NodeNetwork):
         num_steps: int = 3,
         dropout: float = 0.0,
     ) -> None:
+        if num_steps < 1:
+            raise ValueError("num_steps must be >= 1")
         super().__init__(graph, rng, dropout)
         self.proj = nn.Linear(graph.num_features, hidden_dim, rng)
-        self.gated = GatedGraphConv(hidden_dim, rng, num_steps=num_steps)
+        self.gated = GatedGraphConv(hidden_dim, rng)
         self.head = nn.Linear(hidden_dim, out_dim, rng)
         self._embed_dim = hidden_dim
         steps: list[_Step] = [_Local(self.proj), _Local(ops.relu)]

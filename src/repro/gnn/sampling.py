@@ -7,7 +7,9 @@ nodes, which is the survey's first scalability lever.  This module provides:
 * :func:`sample_neighborhood` — uniform fanout-bounded neighbor sampling
   around a seed batch, returning the sampled block operators;
 * :class:`SampledSAGE` — a SAGE stack whose forward consumes sampled blocks
-  (training) or the full graph (inference);
+  (training) or the full :class:`~repro.graph.Graph` (inference, each
+  layer over ``graph.edge_view("mean")`` like
+  :class:`~repro.gnn.networks.GraphSAGE`);
 * :func:`train_sampled` — the mini-batch training loop.
 """
 
@@ -110,7 +112,8 @@ class SampledSAGE(nn.Module):
     """GraphSAGE whose training forward runs on sampled blocks.
 
     ``forward_blocks`` consumes the output of :func:`sample_neighborhood`;
-    ``forward_full`` runs classic full-batch inference on the whole graph.
+    ``forward_full`` runs classic full-batch inference on the whole graph,
+    each layer's ``propagate`` over the graph's mean-aggregation view.
     """
 
     def __init__(
@@ -140,10 +143,10 @@ class SampledSAGE(nn.Module):
                 h = ops.relu(h)
         return h
 
-    def forward_full(self, x: Tensor, mean_adjacency: sp.spmatrix) -> Tensor:
+    def forward_full(self, x: Tensor, graph: Graph) -> Tensor:
         h = x
         for i, conv in enumerate(self.convs):
-            h = conv(h, mean_adjacency)
+            h = conv.propagate(h, graph.edge_view(conv.view_kind))
             if i < self.num_layers - 1:
                 h = ops.relu(h)
         return h

@@ -27,8 +27,9 @@ class EdgeView:
     """Edge-wise message-passing view: directed edges ``src → dst`` over a
     single node table, with optional per-edge coefficients.
 
-    This is the uniform substrate every conv layer's ``propagate`` runs on.
-    :meth:`aggregate` is the weighted-sum primitive — gather messages at
+    This is the uniform substrate every conv layer's ``propagate`` runs
+    on, and the only way a conv layer of :mod:`repro.gnn` receives a
+    graph.  :meth:`aggregate` is the weighted-sum primitive — gather messages at
     ``src``, scale by :attr:`weight`, segment-sum into ``dst`` buckets —
     with a memoized sparse-operator fast path when the view was derived
     from a whole :class:`Graph`.  Attention layers read :attr:`src` /
@@ -40,8 +41,9 @@ class EdgeView:
 
     * :meth:`Graph.edge_view` — derived once per normalization flavor from
       a frozen graph and memoized alongside the adjacency-operator cache
-      (self loops, where the flavor needs them, are baked in here — no
-      per-forward ``tile``/``concat``);
+      (self loops, where the flavor needs them, are baked in here, after
+      the graph's edges — no per-forward ``tile``/``concat``).  A layer
+      over a whole graph always gets ``graph.edge_view(layer.view_kind)``;
     * direct construction from ``src``/``dst`` arrays — e.g. a bipartite
       view whose destinations are not its sources (``num_nodes`` then
       counts the destination buckets).
@@ -81,19 +83,6 @@ class EdgeView:
                 self.src, self.dst, num_src, self.num_nodes, heads
             )
         return self._head_edges[key]
-
-    @classmethod
-    def from_edge_index(
-        cls, edge_index: np.ndarray, num_nodes: int, add_self_loops: bool = False
-    ) -> "EdgeView":
-        """Unweighted view from a raw ``(2, E)`` edge index (GAT compat path)."""
-        edge_index = np.asarray(edge_index, dtype=np.int64)
-        src, dst = edge_index[0], edge_index[1]
-        if add_self_loops:
-            loops = np.arange(num_nodes, dtype=np.int64)
-            src = np.concatenate([src, loops])
-            dst = np.concatenate([dst, loops])
-        return cls(src, dst, num_nodes)
 
     def aggregate(self, h: Tensor) -> Tensor:
         """Weighted-sum aggregation: ``out[d] = Σ_{e: dst_e = d} w_e · h[src_e]``.

@@ -367,7 +367,7 @@ def sum(a: Tensor, axis: Axis = None, keepdims: bool = False) -> Tensor:
 
     def backward(grad: np.ndarray) -> None:
         if a.requires_grad:
-            a._accumulate(_expand_reduced(grad, a.shape, axis, keepdims).copy())
+            a._accumulate(_expand_reduced(grad, a.shape, axis, keepdims))
 
     out._set_history((a,), backward)
     return out

@@ -43,12 +43,11 @@ reports per-epoch progress into it — epoch counter, epoch-duration
 histogram, and live loss / val-score / best-score gauges — so a pipeline
 run scraped mid-training shows where the optimizer stands, and it splits
 the time into ``repro_train_stage_seconds{stage}``: ``forward`` (the loss
-closure), ``backward``, ``optimizer`` (``zero_grad``, clip, step and
-scheduler) and ``validate`` (scoring plus best-state bookkeeping; on a
-shared forward just the score of its outputs).  Each scored epoch gets
-one observation of every stage and one epoch duration, their sum; the
-forward of an epoch that early stopping drops counts in the epoch it
-scored.
+closure), ``backward``, ``optimizer`` (``zero_grad`` and step) and
+``validate`` (scoring plus best-state bookkeeping; on a shared forward
+just the score of its outputs).  Each scored epoch gets one observation
+of every stage and one epoch duration, their sum; the forward of an
+epoch that early stopping drops counts in the epoch it scored.
 """
 
 from __future__ import annotations
@@ -169,8 +168,6 @@ class Trainer:
     patience:
         Early-stopping patience measured in epochs without val improvement;
         ``None`` disables early stopping.
-    grad_clip:
-        Optional global gradient-norm clip.
     registry:
         Optional metrics registry; when set, :meth:`fit` records per-epoch
         loss/val-score gauges, an epoch counter, an epoch-duration
@@ -184,7 +181,6 @@ class Trainer:
         optimizer: nn.optim.Optimizer,
         max_epochs: int = 200,
         patience: Optional[int] = 30,
-        grad_clip: Optional[float] = None,
         restore_best: bool = True,
         registry: Optional[MetricsRegistry] = None,
     ) -> None:
@@ -194,7 +190,6 @@ class Trainer:
         self.optimizer = optimizer
         self.max_epochs = max_epochs
         self.patience = patience
-        self.grad_clip = grad_clip
         self.restore_best = restore_best
         self.registry = registry
 
@@ -202,7 +197,6 @@ class Trainer:
         self,
         loss_fn: Callable[[], Union[Tensor, Tuple[Tensor, object]]],
         val_score_fn: Optional[Callable[..., float]] = None,
-        scheduler: Optional[nn.optim._Scheduler] = None,
     ) -> TrainResult:
         """Run the optimization loop.
 
@@ -269,11 +263,7 @@ class Trainer:
             zeroed = clock()
             loss.backward()
             backward_done = clock()
-            if self.grad_clip is not None:
-                self.optimizer.clip_grad_norm(self.grad_clip)
             self.optimizer.step()
-            if scheduler is not None:
-                scheduler.step()
             progress.history["loss"].append(float(loss.item()))
             seconds[_BACKWARD] = backward_done - zeroed
             seconds[_OPTIMIZER] = (zeroed - started) + (clock() - backward_done)

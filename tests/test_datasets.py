@@ -6,7 +6,6 @@ import pytest
 from repro.datasets import (
     KBinsDiscretizer,
     MinMaxScaler,
-    OneHotEncoder,
     OrdinalEncoder,
     StandardScaler,
     TabularDataset,
@@ -234,7 +233,7 @@ class TestPreprocessing:
 
     def test_onehot_encoder(self):
         codes = np.array([[0, 2], [1, -1]])
-        out = OneHotEncoder().fit_transform(codes)
+        out = TabularDataset(np.zeros((2, 0)), codes, np.zeros(2), "binary").to_matrix()
         assert out.shape == (2, 2 + 3)
         np.testing.assert_array_equal(out[0], [1, 0, 0, 0, 1])
         np.testing.assert_array_equal(out[1, 2:], [0, 0, 0])  # missing row

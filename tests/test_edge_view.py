@@ -1,14 +1,19 @@
 """Tests for the edge-wise message-passing substrate (:class:`EdgeView`).
 
-Covers the three contracts the unified GNN stacks lean on:
+``propagate(h, view)`` is the one entry point of every conv layer, so
+these tests cover the contracts the GNN stacks lean on:
 
-* full-graph edge views reproduce the memoized adjacency operators, so
-  ``propagate(h, view)`` equals the legacy ``forward(h, operator)`` for
-  every conv family;
+* full-graph edge views reproduce the memoized adjacency operators
+  (``aggregate`` equals the operator ``spmm``), and the attention view
+  appends its self loops after the graph's edges;
 * the segment primitives under the ``propagate`` path are differentiable
   (finite-difference checked), also on hand-built bipartite views whose
-  destinations are not their sources, and ``segment_softmax`` stays a
-  proper per-segment distribution even when some segments are empty.
+  destinations are not their sources;
+* ``segment_softmax`` stays a proper per-segment distribution even when
+  some segments are empty.
+
+Each conv layer's output over its view is checked against its
+hand-written operator formula in ``tests/test_gnn_layers.py``.
 """
 
 import numpy as np
@@ -16,7 +21,7 @@ import pytest
 
 from repro.construction.rules import knn_graph
 from repro.gnn.attention import GATConv
-from repro.gnn.conv import GCNConv, GINConv, GatedGraphConv, SAGEConv
+from repro.gnn.conv import GatedGraphConv
 from repro.graph import EdgeView
 from repro.tensor import Tensor, ops
 
@@ -111,63 +116,6 @@ class TestGraphEdgeViews:
 
 
 # ----------------------------------------------------------------------
-# propagate(h, view) == legacy forward(h, operator)
-# ----------------------------------------------------------------------
-class TestPropagateForwardParity:
-    def test_gcn(self):
-        g = small_graph()
-        conv = GCNConv(4, 3, rng())
-        x = Tensor(g.x)
-        np.testing.assert_allclose(
-            conv.propagate(x, g.edge_view("gcn")).data,
-            conv(x, g.gcn_adjacency()).data,
-            atol=1e-12,
-        )
-
-    def test_sage(self):
-        g = small_graph()
-        conv = SAGEConv(4, 3, rng())
-        x = Tensor(g.x)
-        np.testing.assert_allclose(
-            conv.propagate(x, g.edge_view("mean")).data,
-            conv(x, g.mean_adjacency()).data,
-            atol=1e-12,
-        )
-
-    def test_gin(self):
-        g = small_graph()
-        conv = GINConv(4, 3, rng())
-        x = Tensor(g.x)
-        np.testing.assert_allclose(
-            conv.propagate(x, g.edge_view("sum")).data,
-            conv(x, g.adjacency()).data,
-            atol=1e-12,
-        )
-
-    def test_gated_steps_compose_to_forward(self):
-        g = small_graph(d=6)
-        conv = GatedGraphConv(6, rng(), num_steps=3)
-        view = g.edge_view("mean_loops")
-        h = Tensor(g.x)
-        for _ in range(conv.num_steps):
-            h = conv.propagate(h, view)
-        np.testing.assert_allclose(
-            h.data, conv(Tensor(g.x), g.mean_adjacency(add_self_loops=True)).data,
-            atol=1e-12,
-        )
-
-    def test_gat_forward_is_propagate_on_derived_view(self):
-        g = small_graph()
-        conv = GATConv(4, 3, rng(), num_heads=2)
-        x = Tensor(g.x)
-        np.testing.assert_allclose(
-            conv(x, g.edge_index).data,
-            conv.propagate(x, g.edge_view("attention")).data,
-            atol=1e-12,
-        )
-
-
-# ----------------------------------------------------------------------
 # gradients through the propagate path
 # ----------------------------------------------------------------------
 class TestPropagateGradients:
@@ -213,7 +161,7 @@ class TestPropagateGradients:
     def test_gated_propagate_grad_reaches_gru(self):
         # Three queries (nodes 6-8), each averaging two source-only nodes
         # and itself: the mean-with-loops weights are 1/3 per edge.
-        conv = GatedGraphConv(6, rng(), num_steps=2)
+        conv = GatedGraphConv(6, rng())
         view = EdgeView(
             src=np.array([0, 1, 2, 3, 4, 5, 6, 7, 8]),
             dst=np.array([6, 6, 7, 7, 8, 8, 6, 7, 8]),

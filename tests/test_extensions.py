@@ -73,7 +73,7 @@ class TestNeighborSampling:
         history = train_sampled(g, ds.y, train, model, fanouts=(4, 4),
                                 batch_size=64, epochs=6)
         assert history[-1] < history[0]
-        logits = model.forward_full(Tensor(x), g.mean_adjacency()).data
+        logits = model.forward_full(Tensor(x), g).data
         assert accuracy(ds.y[test], logits.argmax(1)[test]) > 0.6
 
     def test_fanout_arity_checked(self):

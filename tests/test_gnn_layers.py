@@ -13,12 +13,14 @@ from repro.gnn import (
     GCNConv,
     GINConv,
     GatedGraphConv,
+    GatedGNN,
     GraphAutoencoder,
     HeteroGNN,
     HypergraphConv,
     HypergraphGNN,
     RGCNConv,
     SAGEConv,
+    SampledSAGE,
     max_readout,
     mean_readout,
     sum_readout,
@@ -46,14 +48,14 @@ class TestGCNConv:
     def test_matches_manual_computation(self):
         g = path_graph()
         conv = GCNConv(3, 2, rng())
-        out = conv(Tensor(g.x), g.gcn_adjacency())
+        out = conv.propagate(Tensor(g.x), g.edge_view(conv.view_kind))
         manual = g.gcn_adjacency() @ (g.x @ conv.linear.weight.data + conv.linear.bias.data)
         np.testing.assert_allclose(out.data, manual, atol=1e-12)
 
     def test_gradient_reaches_weights(self):
         g = path_graph()
         conv = GCNConv(3, 2, rng())
-        ops.sum(conv(Tensor(g.x), g.gcn_adjacency())).backward()
+        ops.sum(conv.propagate(Tensor(g.x), g.edge_view(conv.view_kind))).backward()
         assert conv.linear.weight.grad is not None
 
 
@@ -61,7 +63,7 @@ class TestSAGEConv:
     def test_concat_self_and_neighbors(self):
         g = path_graph()
         conv = SAGEConv(3, 2, rng())
-        out = conv(Tensor(g.x), g.mean_adjacency())
+        out = conv.propagate(Tensor(g.x), g.edge_view(conv.view_kind))
         neighbor = g.mean_adjacency() @ g.x
         manual = np.concatenate([g.x, neighbor], axis=1) @ conv.linear.weight.data
         manual += conv.linear.bias.data
@@ -73,7 +75,7 @@ class TestGINConv:
         g = path_graph()
         conv = GINConv(3, 4, rng())
         conv.eps.data[:] = 0.5
-        out = conv(Tensor(g.x), g.adjacency())
+        out = conv.propagate(Tensor(g.x), g.edge_view(conv.view_kind))
         inner = 1.5 * g.x + g.adjacency() @ g.x
         manual = conv.mlp(Tensor(inner)).data
         np.testing.assert_allclose(out.data, manual, atol=1e-12)
@@ -81,29 +83,44 @@ class TestGINConv:
     def test_eps_is_learnable(self):
         g = path_graph()
         conv = GINConv(3, 4, rng())
-        ops.sum(conv(Tensor(g.x), g.adjacency())).backward()
+        ops.sum(conv.propagate(Tensor(g.x), g.edge_view(conv.view_kind))).backward()
         assert conv.eps.grad is not None
 
 
 class TestGatedGraphConv:
     def test_shape_preserved(self):
         g = path_graph(d=6)
-        conv = GatedGraphConv(6, rng(), num_steps=3)
-        out = conv(Tensor(g.x), g.mean_adjacency(add_self_loops=True))
+        conv = GatedGraphConv(6, rng())
+        out = conv.propagate(Tensor(g.x), g.edge_view(conv.view_kind))
         assert out.shape == (4, 6)
 
+    def test_one_gru_step_over_mean_with_loops(self):
+        g = path_graph(d=6)
+        conv = GatedGraphConv(6, rng())
+        out = conv.propagate(Tensor(g.x), g.edge_view(conv.view_kind))
+        messages = g.mean_adjacency(add_self_loops=True) @ conv.message(Tensor(g.x)).data
+        manual = conv.gru(Tensor(messages), Tensor(g.x)).data
+        np.testing.assert_allclose(out.data, manual, atol=1e-12)
+
     def test_invalid_steps(self):
-        with pytest.raises(ValueError):
-            GatedGraphConv(4, rng(), num_steps=0)
+        g = path_graph(d=6)
+        with pytest.raises(ValueError, match="num_steps"):
+            GatedGNN(g, 4, 2, rng(), num_steps=0)
+
+
+def attention_view(n, edge_index):
+    """The ``"attention"`` view of a bare graph: its edges, then self loops."""
+    return Graph(n, edge_index).edge_view("attention")
 
 
 class TestGATConv:
     def test_output_shapes(self):
         g = path_graph()
+        view = g.edge_view("attention")
         conv = GATConv(3, 5, rng(), num_heads=2, concat_heads=True)
-        assert conv(Tensor(g.x), g.edge_index).shape == (4, 10)
+        assert conv.propagate(Tensor(g.x), view).shape == (4, 10)
         conv_avg = GATConv(3, 5, rng(), num_heads=2, concat_heads=False)
-        assert conv_avg(Tensor(g.x), g.edge_index).shape == (4, 5)
+        assert conv_avg.propagate(Tensor(g.x), view).shape == (4, 5)
 
     def test_attention_weights_normalized(self):
         # With softmax over incoming edges, messages are convex combinations:
@@ -112,28 +129,45 @@ class TestGATConv:
         x = np.ones((n, 3))
         edges = np.array([[i, (i + 1) % n] for i in range(n)]).T
         conv = GATConv(3, 4, rng(), num_heads=3)
-        out = conv(Tensor(x), edges)
+        out = conv.propagate(Tensor(x), attention_view(n, edges))
         np.testing.assert_allclose(out.data - out.data[0], 0.0, atol=1e-10)
 
     def test_edge_features_modulate_attention(self):
         g = path_graph()
+        view = g.edge_view("attention")
         conv = GATConv(3, 4, rng(), num_heads=2, edge_dim=1)
-        edge_feat = Tensor(RNG.normal(size=(g.num_edges, 1)))
-        out1 = conv(Tensor(g.x), g.edge_index, edge_feat)
-        out2 = conv(Tensor(g.x), g.edge_index, Tensor(np.zeros((g.num_edges, 1))))
+        edge_feat = Tensor(RNG.normal(size=(view.num_edges, 1)))
+        out1 = conv.propagate(Tensor(g.x), view, edge_feat)
+        out2 = conv.propagate(Tensor(g.x), view, Tensor(np.zeros((view.num_edges, 1))))
         assert not np.allclose(out1.data, out2.data)
 
     def test_edge_dim_requires_features(self):
         g = path_graph()
         conv = GATConv(3, 4, rng(), edge_dim=2)
-        with pytest.raises(ValueError):
-            conv(Tensor(g.x), g.edge_index)
+        with pytest.raises(ValueError, match="no edge features"):
+            conv.propagate(Tensor(g.x), g.edge_view("attention"))
+
+    def test_features_rejected_without_edge_dim(self):
+        g = path_graph()
+        view = g.edge_view("attention")
+        conv = GATConv(3, 4, rng())
+        with pytest.raises(ValueError, match="without edge_dim"):
+            conv.propagate(Tensor(g.x), view, Tensor(np.ones((view.num_edges, 5))))
+
+    def test_edge_feature_rows_must_match_view_edges(self):
+        g = path_graph()
+        view = g.edge_view("attention")
+        assert (g.num_edges, view.num_edges) == (6, 10)
+        conv = GATConv(3, 4, rng(), num_heads=2, edge_dim=1)
+        # One row per graph edge is short of the four self loops.
+        with pytest.raises(ValueError, match="got 6 edge-feature rows .* 10 edges"):
+            conv.propagate(Tensor(g.x), view, Tensor(np.ones((g.num_edges, 1))))
 
     def test_isolated_node_attends_to_self(self):
         x = RNG.normal(size=(3, 3))
         edges = np.array([[0], [1]])  # node 2 isolated
         conv = GATConv(3, 4, rng())
-        out = conv(Tensor(x), edges)
+        out = conv.propagate(Tensor(x), attention_view(3, edges))
         assert np.all(np.isfinite(out.data))
 
     @pytest.mark.parametrize("concat_heads", [True, False])
@@ -142,12 +176,13 @@ class TestGATConv:
         g = Graph(5, np.array([[0, 1, 2, 3], [1, 2, 3, 4]])).symmetrize()
         conv = GATConv(3, 2, rng(), num_heads=2, concat_heads=concat_heads, edge_dim=1)
         conv.bias.data[:] = local.normal(size=conv.bias.shape)
+        view = g.edge_view("attention")
         x = Tensor(local.normal(size=(5, 3)), requires_grad=True)
-        edge_feat = Tensor(local.normal(size=(g.num_edges, 1)))
+        edge_feat = Tensor(local.normal(size=(view.num_edges, 1)))
         probe = Tensor(local.normal(size=(5, conv.output_dim)))
 
         def loss():
-            return ops.sum(ops.mul(conv(x, g.edge_index, edge_feat), probe))
+            return ops.sum(ops.mul(conv.propagate(x, view, edge_feat), probe))
 
         loss().backward()
         targets = [("x", x), ("weight", conv.weight), ("att_src", conv.att_src),
@@ -177,7 +212,8 @@ class TestGATConv:
                        edge_dim=1)
         x = local.normal(size=(6, 3))
         edge_feat = local.normal(size=(g.num_edges, 1))
-        out = conv(Tensor(x), g.edge_index, Tensor(edge_feat)).data
+        loop_feat = np.concatenate([edge_feat, np.zeros((6, 1))])
+        out = conv.propagate(Tensor(x), g.edge_view("attention"), Tensor(loop_feat)).data
 
         # Per-edge formula: gather h to both endpoints of every edge, score
         # each edge from the (E, heads, out) products, then normalize and
@@ -187,7 +223,6 @@ class TestGATConv:
         h = (x @ conv.weight.data).reshape(6, heads, width)
         scores = ((h[src] * conv.att_src.data).sum(axis=-1)
                   + (h[dst] * conv.att_dst.data).sum(axis=-1))
-        loop_feat = np.concatenate([edge_feat, np.zeros((6, 1))])
         scores = scores + conv.edge_proj(Tensor(loop_feat)).data
         scores = np.where(scores > 0.0, scores, conv.negative_slope * scores)
         maxes = np.full((6, heads), -np.inf)
@@ -214,7 +249,7 @@ class TestDenseConvs:
         sparse_conv.linear.bias.data = dense_conv.linear.bias.data.copy()
         adj = g.gcn_adjacency()
         out_dense = dense_conv(Tensor(g.x), Tensor(adj.toarray()))
-        out_sparse = sparse_conv(Tensor(g.x), adj)
+        out_sparse = sparse_conv.propagate(Tensor(g.x), g.edge_view("gcn"))
         np.testing.assert_allclose(out_dense.data, out_sparse.data, atol=1e-12)
 
     def test_dense_gnn_gradients_reach_adjacency(self):
@@ -295,11 +330,10 @@ class TestGraphAutoencoder:
         model = GraphAutoencoder(5, (8,), 4, rng())
         opt = nn.Adam(model.parameters(), lr=0.02)
         features = Tensor(g.x)
-        adjacency = g.gcn_adjacency()
         loss_rng = np.random.default_rng(0)
         losses = []
         for _ in range(30):
-            loss = model.reconstruction_loss(features, adjacency, g.edge_index, loss_rng)
+            loss = model.reconstruction_loss(features, g, loss_rng)
             losses.append(loss.item())
             opt.zero_grad()
             loss.backward()
@@ -309,7 +343,7 @@ class TestGraphAutoencoder:
     def test_anomaly_scores_shape_and_sign(self):
         g = knn_graph(RNG.normal(size=(20, 4)), k=3)
         model = GraphAutoencoder(4, (8,), 4, rng())
-        scores = model.anomaly_scores(Tensor(g.x), g.gcn_adjacency())
+        scores = model.anomaly_scores(Tensor(g.x), g)
         assert scores.shape == (20,)
         assert np.all(scores >= 0)
 
@@ -319,6 +353,29 @@ class TestGraphAutoencoder:
         pairs = np.array([[0, 1], [2, 3]])
         out = model.decode_edges(z, pairs)
         np.testing.assert_allclose(out.data[0], z.data[0] @ z.data[2], atol=1e-12)
+
+
+class TestFullGraphNormalization:
+    def test_autoencoder_is_gcn_and_sampled_sage_is_mean(self):
+        g = knn_graph(RNG.normal(size=(15, 4)), k=3)
+        relu = lambda a: np.maximum(a, 0.0)  # noqa: E731
+
+        gae = GraphAutoencoder(4, (8,), 3, rng())
+        first, second = gae.encoder_layers
+        a_hat = g.gcn_adjacency()
+        hidden = relu(a_hat @ (g.x @ first.linear.weight.data + first.linear.bias.data))
+        latent = a_hat @ (hidden @ second.linear.weight.data + second.linear.bias.data)
+        np.testing.assert_allclose(gae.encode(Tensor(g.x), g).data, latent, atol=1e-12)
+
+        sage = SampledSAGE(4, 8, 3, rng())
+        first, second = sage.convs
+        mean = g.mean_adjacency()
+        hidden = relu(np.concatenate([g.x, mean @ g.x], axis=1) @ first.linear.weight.data
+                      + first.linear.bias.data)
+        logits = (np.concatenate([hidden, mean @ hidden], axis=1) @ second.linear.weight.data
+                  + second.linear.bias.data)
+        np.testing.assert_allclose(sage.forward_full(Tensor(g.x), g).data, logits,
+                                   atol=1e-12)
 
 
 class TestReadouts:
