@@ -356,22 +356,29 @@ class TestGraphAutoencoder:
 
 
 class TestFullGraphNormalization:
-    def test_autoencoder_is_gcn_and_sampled_sage_is_mean(self):
-        g = knn_graph(RNG.normal(size=(15, 4)), k=3)
-        relu = lambda a: np.maximum(a, 0.0)  # noqa: E731
+    """Models that take a ``Graph`` pick their normalization through their
+    layers' views; each is pinned against its operator formula."""
 
+    def test_autoencoder_encodes_with_gcn_normalization(self):
+        g = knn_graph(RNG.normal(size=(15, 4)), k=3)
         gae = GraphAutoencoder(4, (8,), 3, rng())
         first, second = gae.encoder_layers
         a_hat = g.gcn_adjacency()
-        hidden = relu(a_hat @ (g.x @ first.linear.weight.data + first.linear.bias.data))
+        hidden = np.maximum(
+            a_hat @ (g.x @ first.linear.weight.data + first.linear.bias.data), 0.0
+        )
         latent = a_hat @ (hidden @ second.linear.weight.data + second.linear.bias.data)
         np.testing.assert_allclose(gae.encode(Tensor(g.x), g).data, latent, atol=1e-12)
 
+    def test_sampled_sage_full_graph_is_mean_aggregation(self):
+        g = knn_graph(RNG.normal(size=(15, 4)), k=3)
         sage = SampledSAGE(4, 8, 3, rng())
         first, second = sage.convs
         mean = g.mean_adjacency()
-        hidden = relu(np.concatenate([g.x, mean @ g.x], axis=1) @ first.linear.weight.data
-                      + first.linear.bias.data)
+        hidden = np.maximum(
+            np.concatenate([g.x, mean @ g.x], axis=1) @ first.linear.weight.data
+            + first.linear.bias.data, 0.0
+        )
         logits = (np.concatenate([hidden, mean @ hidden], axis=1) @ second.linear.weight.data
                   + second.linear.bias.data)
         np.testing.assert_allclose(sage.forward_full(Tensor(g.x), g).data, logits,
