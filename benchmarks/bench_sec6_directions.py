@@ -22,8 +22,8 @@ from repro import nn, robustness
 from repro.baselines import GradientBoostingClassifier, MLPClassifier
 from repro.construction.rules import knn_graph
 from repro.datasets import make_correlated_instances, train_val_test_masks
-from repro.gnn.networks import GCN
-from repro.gnn.sampling import SampledSAGE, train_sampled
+from repro.gnn.networks import GCN, GraphSAGE
+from repro.gnn.sampling import train_sampled
 from repro.metrics import accuracy
 from repro.models import SLAPS, KNNGraphClassifier
 from repro.tensor import Tensor
@@ -105,11 +105,11 @@ def test_direction_scaling_neighbor_sampling(benchmark):
         full_acc = accuracy(ds.y[test], full().data.argmax(1)[test])
 
         start = time.perf_counter()
-        sampled = SampledSAGE(x.shape[1], 32, ds.num_classes, np.random.default_rng(0))
-        train_sampled(graph, ds.y, train, sampled, fanouts=(5, 5),
+        sampled = GraphSAGE(graph, (32,), ds.num_classes, np.random.default_rng(0))
+        train_sampled(sampled, ds.y, train, fanouts=(5, 5),
                       batch_size=128, epochs=6)
         sampled_time = time.perf_counter() - start
-        logits = sampled.forward_full(Tensor(x), graph).data
+        logits = sampled().data
         sampled_acc = accuracy(ds.y[test], logits.argmax(1)[test])
         return full_acc, full_time, sampled_acc, sampled_time
 

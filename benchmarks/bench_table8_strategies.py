@@ -189,7 +189,7 @@ def test_adversarial(benchmark):
             generator, discriminator,
             real_rows_fn=lambda: x,
             fake_rows_fn=lambda: generator(inputs),
-            recon_loss_fn=lambda: nn.mse_loss(generator(inputs), x),
+            recon_loss_fn=lambda fake: nn.mse_loss(fake, x),
             epochs=EPOCHS // 2,
             adv_weight=adv_weight,
         )

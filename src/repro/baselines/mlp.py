@@ -25,7 +25,6 @@ class _MLPBase:
         weight_decay: float = 1e-4,
         dropout: float = 0.0,
         seed: int = 0,
-        patience: Optional[int] = None,
     ) -> None:
         self.hidden_dims = tuple(hidden_dims)
         self.lr = lr
@@ -33,7 +32,6 @@ class _MLPBase:
         self.weight_decay = weight_decay
         self.dropout = dropout
         self.seed = seed
-        self.patience = patience
         self.model: Optional[nn.MLP] = None
 
     def _build(self, in_features: int, out_features: int) -> nn.MLP:
@@ -46,22 +44,12 @@ class _MLPBase:
         optimizer = nn.Adam(
             self.model.parameters(), lr=self.lr, weight_decay=self.weight_decay
         )
-        best = np.inf
-        bad = 0
         for _ in range(self.epochs):
             self.model.train()
             loss = loss_fn()
             optimizer.zero_grad()
             loss.backward()
             optimizer.step()
-            if self.patience is not None:
-                value = float(loss.item())
-                if value < best - 1e-6:
-                    best, bad = value, 0
-                else:
-                    bad += 1
-                    if bad > self.patience:
-                        break
         self.model.eval()
 
 

@@ -2,10 +2,12 @@
 
 xFraud [110] preserves domain-expert explanations through GNNExplainer-style
 subgraph explanations.  This module implements the GNNExplainer [155]
-mechanism for the library's GCN stacks: learn a soft mask over the edges
-near a target node such that the masked graph still yields the model's
-prediction, while L1 + entropy penalties drive the mask sparse and binary.
-The surviving high-weight edges are the explanation.
+mechanism for the model zoo's :class:`~repro.gnn.networks.GCN`: learn a
+soft mask over the edges near a target node such that the masked graph
+still yields the model's prediction, while L1 + entropy penalties drive the
+mask sparse and binary.  The surviving high-weight edges are the
+explanation.  The explainer runs the model's own forward over a masked GCN
+view (``model(x, views=...)``), so an all-ones mask reproduces ``model()``.
 """
 
 from __future__ import annotations
@@ -16,8 +18,9 @@ from typing import List, Tuple
 import numpy as np
 
 from repro import nn
-from repro.graph.homogeneous import Graph
-from repro.tensor import Tensor, ops
+from repro.gnn.networks import GCN
+from repro.graph.homogeneous import EdgeView, Graph
+from repro.tensor import Tensor, no_grad, ops
 
 
 @dataclasses.dataclass
@@ -54,14 +57,36 @@ def khop_edge_mask(graph: Graph, node: int, hops: int) -> np.ndarray:
     return np.isin(src, list(reached)) & np.isin(dst, list(reached))
 
 
+def _gcn_view(graph: Graph, weight: Tensor) -> EdgeView:
+    """``graph``'s GCN view with edge ``e`` weighted by ``weight[e]`` (times
+    the graph's own edge weight): ``D^-1/2 (A + I) D^-1/2`` of the
+    re-weighted adjacency, differentiable in ``weight``."""
+    if graph.edge_weight is not None:
+        weight = ops.mul(weight, Tensor(graph.edge_weight))
+    src, dst = graph.edge_index
+    n = graph.num_nodes
+    degree = ops.add(ops.segment_sum(weight, dst, n), Tensor(1.0))
+    inv_sqrt = ops.power(degree, -0.5)
+    edge_coef = ops.mul(
+        ops.mul(weight, ops.gather_rows(inv_sqrt, src)), ops.gather_rows(inv_sqrt, dst)
+    )
+    loops = np.arange(n)
+    return EdgeView(
+        np.concatenate([src, loops]),
+        np.concatenate([dst, loops]),
+        n,
+        weight=ops.concat([edge_coef, ops.power(degree, -1.0)]),
+    )
+
+
 class GNNExplainer:
     """Learn an edge mask explaining a trained GCN's prediction at one node.
 
-    The explainer re-runs the model's convolution weights over a
-    *differentiably re-weighted* graph: edges inside the k-hop neighborhood
-    carry ``sigmoid(mask)`` weights, all other edges weight 1, and
-    aggregation is mean-normalized by the masked degree (+1 for the self
-    connection).  Only the mask is optimized; the model stays frozen.
+    The explainer runs the model over a *differentiably re-weighted*
+    graph: edges inside the k-hop neighborhood carry ``sigmoid(mask)``
+    weights, all other edges weight 1, and every layer aggregates with
+    GCN's normalization of those weights.  Only the mask is optimized; the
+    model stays frozen.
     """
 
     def __init__(
@@ -76,6 +101,8 @@ class GNNExplainer:
     ) -> None:
         if graph.x is None:
             raise ValueError("graph must carry node features")
+        if not isinstance(model, GCN):
+            raise TypeError(f"GNNExplainer explains a GCN, not {type(model).__name__}")
         self.model = model
         self.graph = graph
         self.epochs = epochs
@@ -85,34 +112,16 @@ class GNNExplainer:
         self._rng = np.random.default_rng(seed)
 
     # ------------------------------------------------------------------
-    def _edge_weights(self, mask: Tensor, local_idx: np.ndarray) -> Tensor:
-        """(E,) differentiable weights: masked on local edges, 1 elsewhere."""
-        num_edges = self.graph.num_edges
-        base = np.ones(num_edges)
-        base[local_idx] = 0.0
-        scatter = np.zeros((num_edges, len(local_idx)))
-        scatter[local_idx, np.arange(len(local_idx))] = 1.0
-        lifted = ops.matmul(Tensor(scatter), mask.reshape(-1, 1)).reshape(-1)
-        return ops.add(lifted, Tensor(base))
-
     def _masked_forward(self, mask: Tensor, local_idx: np.ndarray) -> Tensor:
-        """Model forward with re-weighted mean aggregation (mask receives grads)."""
-        weights = self._edge_weights(mask, local_idx)
-        src, dst = self.graph.edge_index
-        n = self.graph.num_nodes
-        degree = ops.segment_sum(weights, dst, n)
-        denom = ops.add(degree, Tensor(1.0)).reshape(n, 1)
-        h = Tensor(self.graph.x)
-        convs = self.model.convs
-        for i, conv in enumerate(convs):
-            transformed = conv.linear(h)
-            gathered = ops.gather_rows(transformed, src)
-            weighted = ops.mul(gathered, weights.reshape(-1, 1))
-            aggregated = ops.segment_sum(weighted, dst, n)
-            h = ops.div(ops.add(aggregated, transformed), denom)
-            if i < len(convs) - 1:
-                h = ops.relu(h)
-        return h
+        """The model's forward with edge ``local_idx[i]`` weighted by
+        ``mask[i]`` and every other edge by 1 (``mask`` receives grads)."""
+        outside = np.ones(self.graph.num_edges)
+        outside[local_idx] = 0.0
+        weight = ops.add(
+            ops.segment_sum(mask, local_idx, self.graph.num_edges), Tensor(outside)
+        )
+        view = _gcn_view(self.graph, weight)
+        return self.model(Tensor(self.graph.x), views=[view] * len(self.model.convs))
 
     def explain(self, node: int, hops: int = 2) -> Explanation:
         """Optimize the edge mask for ``node`` and return the explanation."""
@@ -156,34 +165,14 @@ class GNNExplainer:
     def fidelity(self, explanation: Explanation, threshold: float = 0.5) -> bool:
         """Does the model keep its prediction when only surviving edges remain?
 
-        Hard-drops the masked-out local edges (importance < threshold) and
-        checks the argmax at the explained node is unchanged.
+        Drops every edge the explanation weighs below ``threshold`` (weight
+        0, as if removed from the graph) and checks the argmax at the
+        explained node is unchanged.
         """
-        keep = np.ones(self.graph.num_edges, dtype=bool)
-        local_positions = np.nonzero(
-            khop_edge_mask(self.graph, explanation.node, hops=10)
-        )[0]
-        # Map explanation edges back to global positions by matching pairs.
-        pair_to_importance = {
-            (int(s), int(d)): imp
-            for s, d, imp in zip(*explanation.edge_index, explanation.edge_importance)
-        }
-        for position in local_positions:
-            pair = (int(self.graph.edge_index[0, position]),
-                    int(self.graph.edge_index[1, position]))
-            if pair in pair_to_importance and pair_to_importance[pair] < threshold:
-                keep[position] = False
-        pruned = Graph(
-            self.graph.num_nodes,
-            self.graph.edge_index[:, keep],
-            x=self.graph.x,
-            y=self.graph.y,
-        )
-        from repro.gnn.networks import GCN
-
-        clone = GCN(pruned, [c.linear.out_features for c in self.model.convs][:-1],
-                    self.model.convs[-1].linear.out_features, np.random.default_rng(0))
-        clone.load_state_dict(self.model.state_dict())
-        clone.eval()
-        new_class = int(clone().data[explanation.node].argmax())
-        return new_class == explanation.predicted_class
+        n = self.graph.num_nodes
+        src, dst = self.graph.edge_index
+        weak = explanation.edge_index[:, explanation.edge_importance < threshold]
+        dropped = np.nonzero(np.isin(src * n + dst, weak[0] * n + weak[1]))[0]
+        with no_grad():
+            logits = self._masked_forward(Tensor(np.zeros(dropped.size)), dropped)
+        return int(logits.data[explanation.node].argmax()) == explanation.predicted_class

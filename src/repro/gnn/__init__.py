@@ -19,7 +19,7 @@ from repro.gnn.readout import (
     sum_readout,
 )
 from repro.gnn.networks import GCN, GAT, GIN, GraphSAGE, GatedGNN, build_network
-from repro.gnn.sampling import SampledSAGE, sample_neighborhood, train_sampled
+from repro.gnn.sampling import sample_neighborhood, train_sampled
 
 __all__ = [
     "GCNConv",
@@ -45,7 +45,6 @@ __all__ = [
     "GraphSAGE",
     "GatedGNN",
     "build_network",
-    "SampledSAGE",
     "sample_neighborhood",
     "train_sampled",
 ]

@@ -7,8 +7,11 @@ its ``view_kind`` class attribute names, so a layer over a whole
 ``conv.propagate(h, graph.edge_view(conv.view_kind))`` and the layer, not
 its caller, picks the normalization.  There is no second path over a
 precomputed sparse operator and a conv layer is not callable.  The
-model-zoo stacks, the graph autoencoder and full-graph sampled GraphSAGE
-all train or infer through ``propagate``; the compiled serving plan
+model-zoo stacks and the graph autoencoder train and infer through
+``propagate``, and so do sampled GraphSAGE (over each mini-batch's
+sampled blocks, :mod:`repro.gnn.sampling`) and the GNNExplainer (over a
+masked GCN view, :mod:`repro.explain`), which run the zoo network's own
+forward over views they build; the compiled serving plan
 (:mod:`repro.serving.compiled`) lowers each layer by its weights and
 family, so serving needs no per-request view.  TabGNN holds
 :class:`GCNConv` layers for their weights but aggregates through its
@@ -48,7 +51,11 @@ class SAGEConv(nn.Module):
     """GraphSAGE with mean aggregator: ``[X || mean_N(X)] @ W + b``.
 
     Consumes the row-normalized view (``"mean"`` — without self loops;
-    the self representation enters through the concatenation).
+    the self representation enters through the concatenation).  A view
+    may have fewer destinations than ``x`` has rows, as a sampled block
+    (:func:`repro.gnn.sampling.sample_neighborhood`) does: its
+    destinations are then the first ``view.num_nodes`` rows of ``x``,
+    and those rows are each destination's own state.
     """
 
     view_kind = "mean"
@@ -58,7 +65,8 @@ class SAGEConv(nn.Module):
         self.linear = nn.Linear(2 * in_features, out_features, rng)
 
     def propagate(self, x: Tensor, view: EdgeView) -> Tensor:
-        return self.linear(ops.concat([x, view.aggregate(x)], axis=1))
+        own = x if view.num_nodes == x.shape[0] else x[: view.num_nodes]
+        return self.linear(ops.concat([own, view.aggregate(x)], axis=1))
 
 
 class GINConv(nn.Module):

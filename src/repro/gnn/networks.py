@@ -7,7 +7,10 @@ architectures (Table 5) with one loop: ``build_network(name, graph, ...)``.
 ``forward(x=None)`` accepts an optional replacement feature tensor so the
 training plans in :mod:`repro.training.tasks` can push *corrupted or
 augmented views* of the features through the same network (denoising
-autoencoder and contrastive auxiliary tasks).
+autoencoder and contrastive auxiliary tasks).  ``forward(x, views=...)``
+also replaces the graph: sampled mini-batch training
+(:mod:`repro.gnn.sampling`) and the GNNExplainer (:mod:`repro.explain`)
+run the network over edge views they build.
 
 Every stack is one :class:`_NodeNetwork` over the edge-wise
 message-passing substrate: a network is a *plan* — a flat sequence of
@@ -27,7 +30,7 @@ import numpy as np
 from repro import nn
 from repro.gnn.attention import GATConv
 from repro.gnn.conv import GCNConv, GINConv, GatedGraphConv, SAGEConv
-from repro.graph.homogeneous import Graph
+from repro.graph.homogeneous import EdgeView, Graph
 from repro.tensor import Tensor, ops
 
 
@@ -114,16 +117,43 @@ class _NodeNetwork(nn.Module):
     def _input(self, x: Optional[Tensor]) -> Tensor:
         return self.x if x is None else x
 
-    def _run(self, h: Tensor, steps: Sequence[_Step], training: bool) -> Tensor:
+    def _run(
+        self,
+        h: Tensor,
+        steps: Sequence[_Step],
+        training: bool,
+        views: Optional[Sequence[EdgeView]] = None,
+    ) -> Tensor:
+        views = None if views is None else iter(views)
         for step in steps:
             if isinstance(step, _Propagate):
-                h = step.module.propagate(h, self.graph.edge_view(step.view_kind))
+                view = self.graph.edge_view(step.view_kind) if views is None else next(views)
+                h = step.module.propagate(h, view)
             elif training or not step.train_only:
                 h = step.fn(h)
         return h
 
-    def forward(self, x: Optional[Tensor] = None) -> Tensor:
-        return self._run(self._input(x), self._steps, self.training)
+    def forward(
+        self, x: Optional[Tensor] = None, views: Optional[Sequence[EdgeView]] = None
+    ) -> Tensor:
+        """Logits of every row of ``x`` (the graph's features by default).
+
+        ``views`` runs the network over other edges than its graph's: one
+        :class:`~repro.graph.EdgeView` per propagate step, in plan order,
+        each used in place of ``graph.edge_view(step.view_kind)`` and so
+        normalized as that step's layer expects.  Sampled training passes
+        one block per layer (``x`` then holds the block's input rows and
+        the output the seeds'); the explainer passes one masked GCN view
+        per layer.
+        """
+        if views is not None:
+            expected = sum(isinstance(step, _Propagate) for step in self._steps)
+            if len(views) != expected:
+                raise ValueError(
+                    f"{type(self).__name__} runs {expected} propagate steps, "
+                    f"got {len(views)} views"
+                )
+        return self._run(self._input(x), self._steps, self.training, views)
 
     def embed(self, x: Optional[Tensor] = None) -> Tensor:
         return self._run(self._input(x), self._steps[: self._embed_end], False)

@@ -8,7 +8,7 @@ edge-wise :class:`EdgeView` substrate that the GNN layers in
 
 from __future__ import annotations
 
-from typing import Dict, Optional, Tuple
+from typing import Dict, Optional, Tuple, Union
 
 import networkx as nx
 import numpy as np
@@ -46,7 +46,12 @@ class EdgeView:
       over a whole graph always gets ``graph.edge_view(layer.view_kind)``;
     * direct construction from ``src``/``dst`` arrays — e.g. a bipartite
       view whose destinations are not its sources (``num_nodes`` then
-      counts the destination buckets).
+      counts the destination buckets), or a sampled block
+      (:func:`repro.gnn.sampling.sample_neighborhood`).
+
+    ``weight`` is an array of constants or a :class:`Tensor`; a tensor's
+    coefficients stay differentiable through :meth:`aggregate` (the
+    explainer's edge mask, :mod:`repro.explain`).
     """
 
     __slots__ = ("src", "dst", "num_nodes", "weight", "_matrix", "_head_edges")
@@ -56,7 +61,7 @@ class EdgeView:
         src: np.ndarray,
         dst: np.ndarray,
         num_nodes: int,
-        weight: Optional[np.ndarray] = None,
+        weight: Optional[Union[np.ndarray, Tensor]] = None,
         matrix: Optional[sp.spmatrix] = None,
     ) -> None:
         self.src = np.asarray(src, dtype=np.int64)
@@ -64,7 +69,9 @@ class EdgeView:
         if self.src.shape != self.dst.shape or self.src.ndim != 1:
             raise ValueError("src and dst must be equal-length 1-D arrays")
         self.num_nodes = int(num_nodes)
-        self.weight = None if weight is None else np.asarray(weight, dtype=np.float64)
+        if weight is not None and not isinstance(weight, Tensor):
+            weight = np.asarray(weight, dtype=np.float64)
+        self.weight = weight
         if self.weight is not None and self.weight.shape != self.src.shape:
             raise ValueError("weight length must equal number of edges")
         self._matrix = matrix
@@ -90,12 +97,15 @@ class EdgeView:
         Differentiable either way: views derived from a frozen graph carry
         a memoized sparse operator (one ``spmm``); directly built views
         run the gather → scale → segment-sum primitives, keeping the cost
-        proportional to the number of edges in the view.
+        proportional to the number of edges in the view (and passing the
+        gradient on to a :class:`Tensor` weight).
         """
         if self._matrix is not None:
             return ops.spmm(self._matrix, h)
         messages = ops.gather_rows(h, self.src)
-        if self.weight is not None:
+        if isinstance(self.weight, Tensor):
+            messages = ops.mul(messages, self.weight.reshape(-1, 1))
+        elif self.weight is not None:
             messages = ops.mul(messages, Tensor(self.weight[:, None]))
         return ops.segment_sum(messages, self.dst, self.num_nodes)
 

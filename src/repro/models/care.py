@@ -90,16 +90,7 @@ class CAREGNN(nn.Module):
         return (sp.diags(inv) @ matrix).tocsr()
 
     def forward(self) -> Tensor:
-        z = self._similarity_embeddings()
-        z_data = z.data
-        out = self.self_linear(self.x)
-        for linear, edge_index in zip(self.relation_linears, self._edge_indexes):
-            if edge_index.shape[1] == 0:
-                continue
-            sims = np.sum(z_data[edge_index[0]] * z_data[edge_index[1]], axis=1)
-            operator = self._filtered_operator(edge_index, sims)
-            out = ops.add(out, ops.spmm(operator, linear(self.x)))
-        return self.head(ops.relu(out))
+        return self.head(self.embed())
 
     def embed(self) -> Tensor:
         z = self._similarity_embeddings()

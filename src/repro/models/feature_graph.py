@@ -65,16 +65,7 @@ class FeatureGraphClassifier(nn.Module):
         return ops.softmax(ops.add(self.edge_logits, mask), axis=1)
 
     def forward(self, x: np.ndarray) -> Tensor:
-        h = self.tokens(x)
-        rows = h.shape[0]
-        adjacency = self.interaction_graph()
-        for linear in self.propagations:
-            flat = linear(h.reshape(rows * self.num_features, self.embed_dim))
-            transformed = flat.reshape(rows, self.num_features, self.embed_dim)
-            messages = ops.matmul(adjacency, transformed)
-            h = ops.relu(ops.add(h, messages))  # residual update
-        pooled = self.readout(h)
-        return self.head(pooled)
+        return self.head(self.embed(x))
 
     def embed(self, x: np.ndarray) -> Tensor:
         h = self.tokens(x)

@@ -116,7 +116,7 @@ TAXONOMY: List[TaxonomyLeaf] = [
     _leaf("specialized: label adjustment", "representation", "specialized GNNs",
           "repro.models.pet.PET", "PET, SGANM"),
     _leaf("scalable mini-batch sampling", "representation", "homogeneous GNNs",
-          "repro.gnn.sampling.SampledSAGE", "GraphSAGE, GraphSAINT (Sec. 6 scaling)"),
+          "repro.gnn.sampling.train_sampled", "GraphSAGE, GraphSAINT (Sec. 6 scaling)"),
     # ----- Phase 4: Training Plans -----------------------------------------
     _leaf("feature reconstruction", "training", "learning tasks",
           "repro.training.tasks.FeatureReconstructionTask",

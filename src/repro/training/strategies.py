@@ -139,7 +139,7 @@ def train_adversarial_reconstruction(
     discriminator: nn.Module,
     real_rows_fn: Callable[[], np.ndarray],
     fake_rows_fn: Callable[[], Tensor],
-    recon_loss_fn: Callable[[], Tensor],
+    recon_loss_fn: Callable[[Tensor], Tensor],
     epochs: int = 100,
     gen_lr: float = 0.01,
     disc_lr: float = 0.01,
@@ -149,7 +149,9 @@ def train_adversarial_reconstruction(
 
     The discriminator learns to tell real feature rows from reconstructed
     ones; the generator minimizes reconstruction error *plus* the
-    adversarial term that makes its outputs look real.
+    adversarial term that makes its outputs look real.  Each epoch runs the
+    generator once: both steps read the same ``fake_rows_fn()`` rows, the
+    discriminator step detached, and ``recon_loss_fn`` scores those rows.
     """
     gen_opt = nn.Adam(generator.parameters(), lr=gen_lr)
     disc_opt = nn.Adam(discriminator.parameters(), lr=disc_lr)
@@ -159,9 +161,9 @@ def train_adversarial_reconstruction(
         discriminator.train()
         # --- discriminator step ---
         real = real_rows_fn()
-        fake = fake_rows_fn().detach()
+        fake = fake_rows_fn()
         logits_real = discriminator(Tensor(real))
-        logits_fake = discriminator(fake)
+        logits_fake = discriminator(fake.detach())
         disc_loss = ops.add(
             nn.binary_cross_entropy_with_logits(logits_real, np.ones(real.shape[0])),
             nn.binary_cross_entropy_with_logits(logits_fake, np.zeros(fake.shape[0])),
@@ -169,13 +171,12 @@ def train_adversarial_reconstruction(
         disc_opt.zero_grad()
         disc_loss.backward()
         disc_opt.step()
-        # --- generator step ---
-        fake = fake_rows_fn()
+        # --- generator step (the generator has not stepped: same rows) ---
         logits_fake = discriminator(fake)
         adv_term = nn.binary_cross_entropy_with_logits(
             logits_fake, np.ones(fake.shape[0])
         )
-        gen_loss = ops.add(recon_loss_fn(), ops.mul(Tensor(adv_weight), adv_term))
+        gen_loss = ops.add(recon_loss_fn(fake), ops.mul(Tensor(adv_weight), adv_term))
         gen_opt.zero_grad()
         gen_loss.backward()
         gen_opt.step()

@@ -7,8 +7,9 @@ from repro import nn
 from repro.construction.rules import knn_graph
 from repro.datasets import make_correlated_instances, train_val_test_masks
 from repro.explain import GNNExplainer, khop_edge_mask
-from repro.gnn.networks import GCN
+from repro.gnn.networks import GAT, GCN
 from repro.graph import Graph
+from repro.tensor import Tensor
 
 
 def trained_setup(seed=0):
@@ -76,6 +77,19 @@ class TestGNNExplainer:
         bare = Graph(2, edges)
         with pytest.raises(ValueError):
             GNNExplainer(object(), bare)
+
+    def test_all_ones_mask_reproduces_the_model(self):
+        ds, graph, model = trained_setup()
+        explainer = GNNExplainer(model, graph)
+        every_edge = np.arange(graph.num_edges)
+        logits = explainer._masked_forward(Tensor(np.ones(graph.num_edges)), every_edge)
+        np.testing.assert_allclose(logits.data, model().data, rtol=0, atol=1e-12)
+
+    def test_rejects_a_network_other_than_gcn(self):
+        ds, graph, _ = trained_setup()
+        gat = GAT(graph, (8,), ds.num_classes, np.random.default_rng(0))
+        with pytest.raises(TypeError, match="GAT"):
+            GNNExplainer(gat, graph)
 
     def test_fidelity_check_runs(self):
         ds, graph, model = trained_setup()

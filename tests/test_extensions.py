@@ -8,8 +8,8 @@ from repro import nn, robustness
 from repro.construction.intrinsic import multiplex_from_dataset
 from repro.construction.rules import knn_graph
 from repro.datasets import make_correlated_instances, make_fraud, train_val_test_masks
-from repro.gnn.networks import GCN
-from repro.gnn.sampling import SampledSAGE, _AdjacencyList, sample_neighborhood, train_sampled
+from repro.gnn.networks import GCN, GraphSAGE
+from repro.gnn.sampling import _AdjacencyList, sample_neighborhood, train_sampled
 from repro.metrics import accuracy, roc_auc
 from repro.models import CAREGNN
 from repro.tensor import Tensor
@@ -44,43 +44,51 @@ class TestNeighborSampling:
     def test_sampled_block_shapes(self):
         _, _, g = small_setup(60)
         adjacency = _AdjacencyList(g)
-        seeds = np.array([0, 1, 2, 3])
-        operators, input_nodes = sample_neighborhood(
+        seeds = np.array([7, 1, 30, 3])
+        blocks, input_nodes = sample_neighborhood(
             adjacency, seeds, fanouts=(3, 3), rng=np.random.default_rng(0)
         )
-        assert len(operators) == 2
-        # Outermost operator's rows = seeds.
-        assert operators[-1][0].shape[0] == len(seeds)
-        # Innermost operator's columns = all input nodes.
-        assert operators[0][0].shape[1] == len(input_nodes)
+        assert len(blocks) == 2
+        # The outermost block's destinations are the seeds, which the
+        # input rows list first.
+        assert blocks[-1].num_nodes == len(seeds)
+        np.testing.assert_array_equal(input_nodes[: len(seeds)], seeds)
+        # The innermost block reads every input row: each is a destination
+        # (a prefix row) or a sampled source.
+        rows = np.union1d(blocks[0].src, np.arange(blocks[0].num_nodes))
+        np.testing.assert_array_equal(rows, np.arange(len(input_nodes)))
 
     def test_fanout_bounds_sampled_edges(self):
         _, _, g = small_setup(80)
         adjacency = _AdjacencyList(g)
-        operators, _ = sample_neighborhood(
+        (block,), _ = sample_neighborhood(
             adjacency, np.arange(10), fanouts=(2,), rng=np.random.default_rng(0)
         )
-        matrix, _ = operators[0]
-        # Each row aggregates at most fanout=2 neighbors.
-        row_counts = np.diff(matrix.indptr)
-        assert row_counts.max() <= 2
+        # Each destination aggregates at most fanout=2 neighbors.
+        assert np.bincount(block.dst).max() <= 2
 
     def test_training_reduces_loss_and_generalizes(self):
         ds, x, g = small_setup(300)
         train, _, test = train_val_test_masks(300, 0.5, 0.2,
                                               np.random.default_rng(0), stratify=ds.y)
-        model = SampledSAGE(x.shape[1], 16, ds.num_classes, rng())
-        history = train_sampled(g, ds.y, train, model, fanouts=(4, 4),
+        model = GraphSAGE(g, (16,), ds.num_classes, rng())
+        history = train_sampled(model, ds.y, train, fanouts=(4, 4),
                                 batch_size=64, epochs=6)
         assert history[-1] < history[0]
-        logits = model.forward_full(Tensor(x), g).data
+        logits = model().data
         assert accuracy(ds.y[test], logits.argmax(1)[test]) > 0.6
 
     def test_fanout_arity_checked(self):
         ds, x, g = small_setup(60)
-        model = SampledSAGE(x.shape[1], 8, 2, rng(), num_layers=2)
+        model = GraphSAGE(g, (8,), 2, rng())
         with pytest.raises(ValueError):
-            train_sampled(g, ds.y, np.ones(60, dtype=bool), model, fanouts=(3,))
+            train_sampled(model, ds.y, np.ones(60, dtype=bool), fanouts=(3,))
+
+    def test_rejects_a_network_other_than_graphsage(self):
+        ds, x, g = small_setup(60)
+        model = GCN(g, (8,), 2, rng())
+        with pytest.raises(TypeError, match="GCN"):
+            train_sampled(model, ds.y, np.ones(60, dtype=bool), fanouts=(3, 3))
 
 
 class TestSSLTasks:

@@ -15,12 +15,12 @@ from repro.gnn import (
     GatedGraphConv,
     GatedGNN,
     GraphAutoencoder,
+    GraphSAGE,
     HeteroGNN,
     HypergraphConv,
     HypergraphGNN,
     RGCNConv,
     SAGEConv,
-    SampledSAGE,
     max_readout,
     mean_readout,
     sum_readout,
@@ -28,6 +28,7 @@ from repro.gnn import (
 from repro.construction.intrinsic import hetero_from_dataset, hypergraph_from_dataset
 from repro.construction.rules import knn_graph
 from repro.datasets import make_fraud
+from repro.gnn.sampling import _AdjacencyList, sample_neighborhood
 from repro.graph import Graph, Hypergraph
 from repro.tensor import Tensor, ops
 
@@ -370,9 +371,9 @@ class TestFullGraphNormalization:
         latent = a_hat @ (hidden @ second.linear.weight.data + second.linear.bias.data)
         np.testing.assert_allclose(gae.encode(Tensor(g.x), g).data, latent, atol=1e-12)
 
-    def test_sampled_sage_full_graph_is_mean_aggregation(self):
+    def test_graphsage_full_graph_is_mean_aggregation(self):
         g = knn_graph(RNG.normal(size=(15, 4)), k=3)
-        sage = SampledSAGE(4, 8, 3, rng())
+        sage = GraphSAGE(g, (8,), 3, rng())
         first, second = sage.convs
         mean = g.mean_adjacency()
         hidden = np.maximum(
@@ -381,8 +382,23 @@ class TestFullGraphNormalization:
         )
         logits = (np.concatenate([hidden, mean @ hidden], axis=1) @ second.linear.weight.data
                   + second.linear.bias.data)
-        np.testing.assert_allclose(sage.forward_full(Tensor(g.x), g).data, logits,
-                                   atol=1e-12)
+        np.testing.assert_allclose(sage().data, logits, atol=1e-12)
+
+    def test_blocks_covering_every_neighbor_equal_the_full_forward(self):
+        g = knn_graph(RNG.normal(size=(30, 4)), k=3)
+        sage = GraphSAGE(g, (8,), 3, rng())
+        fanout = int(g.degrees().max())
+        perm = np.random.default_rng(5).permutation(30)
+        # All 30 nodes, then 7 of them: there the destinations are a
+        # prefix of each block's source rows.
+        for seeds in (perm, perm[:7]):
+            blocks, input_nodes = sample_neighborhood(
+                _AdjacencyList(g), seeds, (fanout, fanout), np.random.default_rng(0)
+            )
+            np.testing.assert_allclose(
+                sage(Tensor(g.x[input_nodes]), views=blocks).data,
+                sage().data[seeds], rtol=0, atol=1e-12,
+            )
 
 
 class TestReadouts:
