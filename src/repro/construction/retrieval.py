@@ -24,6 +24,11 @@ how :meth:`PoolIndex.top_k` searches:
   cells' members exactly (by the same surrogate the exact scan ranks by)
   and re-ranks only those candidates — O(√N·d) per query instead of
   O(N·d).
+
+Both answer ``max(1, 2²² // N)`` query rows at a time, so a block's
+scores hold at most 32 MiB and a caller passes all its queries in one
+call: the kNN criterion (:func:`repro.construction.rules.knn_edges`)
+ranks a whole table without its n×n matrix.  Blocks change no answer.
 """
 
 from __future__ import annotations
@@ -38,6 +43,9 @@ from repro.graph.utils import symmetrize_edge_index
 _DOT_MEASURES = ("cosine", "pearson", "inner")
 _DISTANCE_MEASURES = ("euclidean", "rbf", "heat")
 
+#: Scores per query block: an N-row pool answers ``max(1, _SCAN_BLOCK // N)``
+#: query rows at a time.
+_SCAN_BLOCK = 1 << 22
 #: Cells the IVF probes per query unless ``nprobe`` says otherwise.
 _NPROBE = 8
 #: IVF build settings: Lloyd iterations and k-means seed (the build is
@@ -52,6 +60,14 @@ def _sq_norms(x: np.ndarray) -> np.ndarray:
     """Row-wise squared norms (distance-family ranking terms and IVF
     centroids)."""
     return (x**2).sum(axis=1)
+
+
+def top_k_columns(scores: np.ndarray, k: int) -> np.ndarray:
+    """Column indices ``(B, k)`` of each row's ``k`` highest scores, best
+    first."""
+    top = np.argpartition(scores, kth=scores.shape[1] - k, axis=1)[:, -k:]
+    order = np.argsort(np.take_along_axis(scores, top, axis=1), axis=1)
+    return np.take_along_axis(top, order[:, ::-1], axis=1)
 
 
 class _IVF:
@@ -315,7 +331,7 @@ class PoolIndex:
     def _exact_scan(
         self, queries: np.ndarray, k: int, exclude: Optional[np.ndarray]
     ) -> np.ndarray:
-        """Top-k over the full (B, N) block of ranking scores.
+        """Top-k over the (B, N) block of ranking scores.
 
         The dot family's score is its similarity itself.  The distance
         family ranks by ``-d²`` directly: ``-d`` (euclidean) and
@@ -331,12 +347,19 @@ class PoolIndex:
         if exclude is not None:
             rows = np.nonzero(exclude >= 0)[0]
             scores[rows, exclude[rows]] = -np.inf
-        size = self.size
-        top = np.argpartition(scores, kth=size - k, axis=1)[:, -k:]
-        order = np.argsort(
-            np.take_along_axis(scores, top, axis=1), axis=1
-        )[:, ::-1]
-        return np.take_along_axis(top, order, axis=1)
+        return top_k_columns(scores, k)
+
+    def _in_blocks(self, search, queries, k, exclude) -> np.ndarray:
+        """``search`` over ``max(1, _SCAN_BLOCK // N)`` queries at a time."""
+        queries = np.asarray(queries, dtype=np.float64)
+        rows = max(1, _SCAN_BLOCK // self.size)
+        out = np.empty((queries.shape[0], k), dtype=np.int64)
+        for start in range(0, queries.shape[0], rows):
+            block = slice(start, start + rows)
+            out[block] = search(
+                queries[block], k, None if exclude is None else exclude[block]
+            )
+        return out
 
     def top_k(
         self,
@@ -351,9 +374,8 @@ class PoolIndex:
         transductive kNN path needs when pool rows query their own pool.
         """
         exclude = self._check(queries, k, exclude)
-        if self._ivf is not None:
-            return self._ivf.top_k(queries, k, exclude)
-        return self._exact_scan(queries, k, exclude)
+        search = self._exact_scan if self._ivf is None else self._ivf.top_k
+        return self._in_blocks(search, queries, k, exclude)
 
     def exact_top_k(
         self,
@@ -364,7 +386,7 @@ class PoolIndex:
         """The exact-scan answer, regardless of backend — the oracle
         recall@k is measured against."""
         exclude = self._check(queries, k, exclude)
-        return self._exact_scan(queries, k, exclude)
+        return self._in_blocks(self._exact_scan, queries, k, exclude)
 
 
 def retrieval_augmented_graph(
@@ -375,7 +397,6 @@ def retrieval_augmented_graph(
     columns: Optional[np.ndarray] = None,
     y: Optional[np.ndarray] = None,
     index: str = "exact",
-    chunk_size: int = 2048,
     nprobe: Optional[int] = None,
 ) -> Graph:
     """Connect every row to its top-k retrieved rows *inside the pool*.
@@ -384,12 +405,11 @@ def retrieval_augmented_graph(
     Pool rows retrieve among the other pool rows; non-pool rows (val/test)
     retrieve from the pool only, so no information flows between test rows.
 
-    All retrieval — pool-side included — runs through one
-    :class:`PoolIndex` in ``chunk_size``-row query chunks (self-matches
-    masked per chunk), so peak memory is O(chunk·N) instead of the dense
-    O(N²) pairwise block, and ``index="ivf"`` (probing ``nprobe`` cells)
-    drops the per-chunk scan to O(chunk·√N·d) for the pools where N² was
-    never an option.
+    All retrieval — pool-side included, self-matches masked — is one
+    :class:`PoolIndex` call per side, whose query blocks bound the score
+    memory instead of the dense O(N²) pairwise block; ``index="ivf"``
+    (probing ``nprobe`` cells) drops the scan to O(√N·d) per row for the
+    pools where N² was never an option.
     """
     x = np.asarray(x, dtype=np.float64)
     pool_mask = np.asarray(pool_mask, dtype=bool)
@@ -402,25 +422,11 @@ def retrieval_augmented_graph(
         raise ValueError("pool must contain more than k rows")
     pool_view = view[pool_idx]
     pool_index = PoolIndex(pool_view, measure, backend=index, nprobe=nprobe)
-    chunk = max(1, int(chunk_size))
-
-    sources: list[np.ndarray] = []
-    targets: list[np.ndarray] = []
-    # Pool rows: retrieve among pool excluding self (chunked scans).
-    for start in range(0, n_pool, chunk):
-        stop = min(start + chunk, n_pool)
-        neighbors = pool_index.top_k(
-            pool_view[start:stop], k, exclude=np.arange(start, stop)
-        )
-        sources.append(pool_idx[neighbors.reshape(-1)])
-        targets.append(np.repeat(pool_idx[start:stop], k))
-    # Query rows: retrieve from pool.
     query_idx = np.nonzero(~pool_mask)[0]
-    for start in range(0, query_idx.size, chunk):
-        rows = query_idx[start:start + chunk]
-        neighbors = pool_index.top_k(view[rows], k)
-        sources.append(pool_idx[neighbors.reshape(-1)])
-        targets.append(np.repeat(rows, k))
-    edge_index = np.stack([np.concatenate(sources), np.concatenate(targets)])
-    edge_index, _ = symmetrize_edge_index(edge_index.astype(np.int64))
+    pool_neighbors = pool_index.top_k(pool_view, k, exclude=np.arange(n_pool))
+    query_neighbors = pool_index.top_k(view[query_idx], k)
+    sources = pool_idx[np.concatenate([pool_neighbors, query_neighbors])]
+    targets = np.repeat(np.concatenate([pool_idx, query_idx]), k)
+    edge_index = np.stack([sources.reshape(-1), targets]).astype(np.int64)
+    edge_index, _ = symmetrize_edge_index(edge_index)
     return Graph(x.shape[0], edge_index, x=x, y=y)

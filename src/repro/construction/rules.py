@@ -3,6 +3,10 @@
 Implements the similarity measures and the four mainstream edge criteria
 the survey identifies: k-nearest neighbors, thresholding, fully-connected,
 and same-feature-value.
+
+The kNN criterion ranks through the exact
+:class:`~repro.construction.retrieval.PoolIndex` scan, with the table as
+its own pool; only ``manhattan``, which the index refuses, is dense here.
 """
 
 from __future__ import annotations
@@ -11,6 +15,7 @@ from typing import Callable, Dict, Optional
 
 import numpy as np
 
+from repro.construction.retrieval import PoolIndex, top_k_columns
 from repro.graph.homogeneous import Graph
 from repro.graph.utils import symmetrize_edge_index
 
@@ -96,30 +101,27 @@ def knn_edges(
     """Directed kNN edge index: each node points to its ``k`` nearest others.
 
     Returns ``edge_index`` of shape ``(2, n*k)`` with edges (neighbor → node)
-    so that message passing aggregates *from* neighbors; optionally also the
-    neighbor distances (used by LUNAR's distance-preserving edge features).
+    so that message passing aggregates *from* neighbors, nearest first
+    (exact ties in any order); optionally also the neighbor distances, for
+    ``metric="euclidean"`` only (LUNAR's distance-preserving edge features).
     """
     x = np.asarray(x, dtype=np.float64)
     n = x.shape[0]
     if not 1 <= k < n:
         raise ValueError(f"k must be in [1, n), got k={k}, n={n}")
-    if metric in ("euclidean", "manhattan", "cosine"):
-        dist = pairwise_distances(x, metric)
+    if include_distances and metric != "euclidean":
+        raise ValueError(f"include_distances needs the euclidean metric, got {metric!r}")
+    if metric == "manhattan":
+        scores = -pairwise_distances(x, metric)
+        np.fill_diagonal(scores, -np.inf)
+        neighbor_idx = top_k_columns(scores, k)
     else:
-        dist = -pairwise_similarity(x, metric)
-    np.fill_diagonal(dist, np.inf)
-    neighbor_idx = np.argpartition(dist, kth=k - 1, axis=1)[:, :k]
-    # Sort each row's k neighbors by actual distance for determinism.
-    row_order = np.argsort(
-        np.take_along_axis(dist, neighbor_idx, axis=1), axis=1
-    )
-    neighbor_idx = np.take_along_axis(neighbor_idx, row_order, axis=1)
+        neighbor_idx = PoolIndex(x, metric).exact_top_k(x, k, exclude=np.arange(n))
     dst = np.repeat(np.arange(n, dtype=np.int64), k)
-    src = neighbor_idx.reshape(-1).astype(np.int64)
+    src = neighbor_idx.reshape(-1)
     edge_index = np.stack([src, dst])
     if include_distances:
-        distances = dist[dst, src]
-        return edge_index, distances
+        return edge_index, np.linalg.norm(x[src] - x[dst], axis=1)
     return edge_index
 
 
@@ -127,13 +129,10 @@ def knn_graph(
     x: np.ndarray,
     k: int,
     metric: str = "euclidean",
-    symmetric: bool = True,
     y: Optional[np.ndarray] = None,
 ) -> Graph:
-    """Instance graph via the kNN criterion (LUNAR, GNN4MV, LSTM-GNN style)."""
-    edge_index = knn_edges(x, k, metric)
-    if symmetric:
-        edge_index, _ = symmetrize_edge_index(edge_index)
+    """Symmetric instance graph via the kNN criterion (LUNAR, GNN4MV, LSTM-GNN style)."""
+    edge_index, _ = symmetrize_edge_index(knn_edges(x, k, metric))
     return Graph(x.shape[0], edge_index, x=x, y=y)
 
 

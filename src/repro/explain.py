@@ -86,7 +86,7 @@ class GNNExplainer:
     graph: edges inside the k-hop neighborhood carry ``sigmoid(mask)``
     weights, all other edges weight 1, and every layer aggregates with
     GCN's normalization of those weights.  Only the mask is optimized; the
-    model stays frozen.
+    model stays frozen and receives no gradient.
     """
 
     def __init__(
@@ -129,30 +129,39 @@ class GNNExplainer:
         if not local.any():
             raise ValueError(f"node {node} has no edges within {hops} hops")
         local_idx = np.nonzero(local)[0]
-        target_class = int(self.model().data[node].argmax())
+        with no_grad():
+            target_class = int(self.model().data[node].argmax())
 
         mask_logits = nn.Parameter(self._rng.normal(1.0, 0.1, size=int(local.sum())))
         optimizer = nn.Adam([mask_logits], lr=self.lr)
         one = Tensor(1.0)
-        for _ in range(self.epochs):
-            mask = ops.sigmoid(mask_logits)
-            logits = self._masked_forward(mask, local_idx)
-            ce = nn.cross_entropy(
-                logits[node].reshape(1, -1), np.array([target_class])
-            )
-            sparsity = ops.mean(mask)
-            entropy = ops.neg(ops.mean(ops.add(
-                ops.mul(mask, ops.log(ops.add(mask, Tensor(1e-9)))),
-                ops.mul(ops.sub(one, mask),
-                        ops.log(ops.add(ops.sub(one, mask), Tensor(1e-9)))),
-            )))
-            loss = ops.add(ce, ops.add(
-                ops.mul(Tensor(self.sparsity_weight), sparsity),
-                ops.mul(Tensor(self.entropy_weight), entropy),
-            ))
-            optimizer.zero_grad()
-            loss.backward()
-            optimizer.step()
+        # Freeze the model, so backpropagation reaches only the mask.
+        params = [param for param in self.model.parameters() if param.requires_grad]
+        for param in params:
+            param.requires_grad = False
+        try:
+            for _ in range(self.epochs):
+                mask = ops.sigmoid(mask_logits)
+                logits = self._masked_forward(mask, local_idx)
+                ce = nn.cross_entropy(
+                    logits[node].reshape(1, -1), np.array([target_class])
+                )
+                sparsity = ops.mean(mask)
+                entropy = ops.neg(ops.mean(ops.add(
+                    ops.mul(mask, ops.log(ops.add(mask, Tensor(1e-9)))),
+                    ops.mul(ops.sub(one, mask),
+                            ops.log(ops.add(ops.sub(one, mask), Tensor(1e-9)))),
+                )))
+                loss = ops.add(ce, ops.add(
+                    ops.mul(Tensor(self.sparsity_weight), sparsity),
+                    ops.mul(Tensor(self.entropy_weight), entropy),
+                ))
+                optimizer.zero_grad()
+                loss.backward()
+                optimizer.step()
+        finally:
+            for param in params:
+                param.requires_grad = True
 
         importance = 1.0 / (1.0 + np.exp(-mask_logits.data))
         return Explanation(

@@ -6,6 +6,9 @@ Preservation" specialized design.  A shared network maps each node's vector
 of k nearest-neighbor distances to an anomaly score; training uses negative
 sampling (synthetic anomalies labelled 1, data labelled 0), which
 generalizes LOF/kNN detectors into a learnable GNN.
+
+Every row's k nearest training rows come from one euclidean
+:class:`~repro.construction.retrieval.PoolIndex` over the training rows.
 """
 
 from __future__ import annotations
@@ -15,21 +18,8 @@ from typing import Optional
 import numpy as np
 
 from repro import nn
-from repro.construction.rules import pairwise_distances
+from repro.construction.retrieval import PoolIndex
 from repro.tensor import Tensor
-
-
-def _knn_distance_features(
-    queries: np.ndarray, reference: np.ndarray, k: int, exclude_self: bool
-) -> np.ndarray:
-    """Sorted distances from each query row to its k nearest reference rows."""
-    stacked = np.concatenate([queries, reference], axis=0)
-    dist = pairwise_distances(stacked, "euclidean")[: len(queries), len(queries):]
-    if exclude_self:
-        # Queries are rows of `reference`: drop the zero self-distance.
-        np.fill_diagonal(dist, np.inf)
-    part = np.partition(dist, kth=k - 1, axis=1)[:, :k]
-    return np.sort(part, axis=1)
 
 
 class LUNAR(nn.Module):
@@ -55,7 +45,7 @@ class LUNAR(nn.Module):
         self.lr = lr
         self._rng = np.random.default_rng(seed)
         self.scorer = nn.MLP(k, (hidden_dim, hidden_dim), 1, np.random.default_rng(seed))
-        self._train_x: Optional[np.ndarray] = None
+        self._index: Optional[PoolIndex] = None
 
     # ------------------------------------------------------------------
     def _negative_samples(self, x: np.ndarray) -> np.ndarray:
@@ -70,17 +60,28 @@ class LUNAR(nn.Module):
         )
         return np.concatenate([uniform, jitter], axis=0)[:n]
 
+    def _features(self, x: Optional[np.ndarray]) -> np.ndarray:
+        """Sorted distances from each row of ``x`` to its k nearest training
+        rows; ``x=None`` takes the training rows, each without itself."""
+        if self._index is None:
+            raise RuntimeError("fit must be called before score")
+        train_x = self._index.pool
+        exclude = np.arange(len(train_x)) if x is None else None
+        x = train_x if x is None else np.asarray(x, dtype=np.float64)
+        nearest = self._index.exact_top_k(x, self.k, exclude=exclude)
+        dist = np.linalg.norm(x[:, None, :] - train_x[nearest], axis=2)
+        return np.sort(dist, axis=1)
+
     def fit(self, x: np.ndarray) -> "LUNAR":
         """Train the scorer on normal data versus synthetic anomalies."""
         x = np.asarray(x, dtype=np.float64)
         if len(x) <= self.k:
             raise ValueError("need more rows than k")
-        self._train_x = x
-        positives = _knn_distance_features(x, x, self.k, exclude_self=True)
+        self._index = PoolIndex(x, "euclidean")
+        positives = self._features(None)
         optimizer = nn.Adam(self.scorer.parameters(), lr=self.lr)
         for _ in range(self.epochs):
-            negatives_x = self._negative_samples(x)
-            negatives = _knn_distance_features(negatives_x, x, self.k, exclude_self=False)
+            negatives = self._features(self._negative_samples(x))
             feats = np.concatenate([positives, negatives], axis=0)
             labels = np.concatenate([np.zeros(len(positives)), np.ones(len(negatives))])
             logits = self.scorer(Tensor(feats)).reshape(-1)
@@ -93,25 +94,9 @@ class LUNAR(nn.Module):
 
     def score(self, x: Optional[np.ndarray] = None) -> np.ndarray:
         """Anomaly scores (higher = more anomalous)."""
-        if self._train_x is None:
-            raise RuntimeError("fit must be called before score")
-        if x is None:
-            feats = _knn_distance_features(self._train_x, self._train_x, self.k, True)
-        else:
-            feats = _knn_distance_features(
-                np.asarray(x, dtype=np.float64), self._train_x, self.k, False
-            )
-        logits = self.scorer(Tensor(feats)).data.reshape(-1)
+        logits = self.scorer(Tensor(self._features(x))).data.reshape(-1)
         return 1.0 / (1.0 + np.exp(-np.clip(logits, -60, 60)))
 
     def baseline_knn_score(self, x: Optional[np.ndarray] = None) -> np.ndarray:
         """The classical (non-learned) mean-kNN-distance detector, for ablation."""
-        if self._train_x is None:
-            raise RuntimeError("fit must be called before score")
-        if x is None:
-            feats = _knn_distance_features(self._train_x, self._train_x, self.k, True)
-        else:
-            feats = _knn_distance_features(
-                np.asarray(x, dtype=np.float64), self._train_x, self.k, False
-            )
-        return feats.mean(axis=1)
+        return self._features(x).mean(axis=1)

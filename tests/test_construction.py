@@ -96,6 +96,12 @@ class TestKNN:
         with pytest.raises(ValueError):
             knn_edges(np.ones((3, 1)), k=0)
 
+    @pytest.mark.parametrize("metric", ["manhattan", "cosine", "rbf", "inner"])
+    def test_distances_only_for_euclidean(self, metric):
+        with pytest.raises(ValueError, match="euclidean"):
+            knn_edges(RNG.normal(size=(10, 2)), k=3, metric=metric,
+                      include_distances=True)
+
     def test_symmetric_graph(self):
         g = knn_graph(RNG.normal(size=(15, 3)), k=3)
         pairs = set(map(tuple, g.edge_index.T))

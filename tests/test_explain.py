@@ -91,6 +91,22 @@ class TestGNNExplainer:
         with pytest.raises(TypeError, match="GAT"):
             GNNExplainer(gat, graph)
 
+    def test_explain_leaves_no_gradient_on_the_model(self, monkeypatch):
+        ds, graph, model = trained_setup()
+        model.zero_grad()
+        params = model.parameters()
+        params[0].requires_grad = False
+        frozen = GNNExplainer(model, graph, epochs=20).explain(4)
+        assert all(param.grad is None for param in params)
+        assert [param.requires_grad for param in params] == [False] + [True] * (len(params) - 1)
+        # The same run with the flags left on: backpropagation reaches the
+        # parameters, and the mask it learns is the same.
+        params[0].requires_grad = True
+        monkeypatch.setattr(model, "parameters", lambda: [])
+        trainable = GNNExplainer(model, graph, epochs=20).explain(4)
+        assert all(param.grad is not None for param in params)
+        np.testing.assert_array_equal(frozen.edge_importance, trainable.edge_importance)
+
     def test_fidelity_check_runs(self):
         ds, graph, model = trained_setup()
         explainer = GNNExplainer(model, graph, epochs=40)

@@ -4,13 +4,21 @@ The exact scan must stay bit-identical to the historical exhaustive scan
 (it is the serving default and the parity oracle the IVF is measured
 against); the IVF trades an ``nprobe`` budget for sub-linear scans and is
 held to seeded recall@k floors across every measure the index ranks.  A
-measure outside those six is refused when the index is built.
+measure outside those six is refused when the index is built.  Both
+answer in query blocks whose boundaries change no answer, and the kNN
+criterion, which searches the whole table at once, stays within a flat
+memory bound.
 """
+
+import tracemalloc
 
 import numpy as np
 import pytest
 
+from repro.construction import retrieval
 from repro.construction.retrieval import PoolIndex, retrieval_augmented_graph
+from repro.construction.rules import knn_edges
+from repro.models.lunar import LUNAR
 
 MEASURES = ["cosine", "euclidean", "rbf", "heat", "inner", "pearson"]
 
@@ -136,21 +144,56 @@ class TestBackendRegistry:
             PoolIndex(np.eye(4), "manhattan", backend=backend)
 
 
-class TestRetrievalAugmentedGraphChunking:
-    @pytest.mark.parametrize("measure", ["cosine", "euclidean", "rbf"])
-    def test_chunked_build_matches_unchunked(self, measure):
+class TestQueryBlocks:
+    @pytest.mark.parametrize("measure", ["cosine", "euclidean", "rbf", "pearson"])
+    def test_block_boundaries_change_nothing(self, measure, monkeypatch):
+        # Every search below runs against a 150-row pool, so a block
+        # constant of rows·150 cuts the queries into `rows`-row blocks.
         rng = np.random.default_rng(9)
-        x = rng.normal(size=(150, 6))
-        pool_mask = np.zeros(150, dtype=bool)
-        pool_mask[:100] = True
-        big = retrieval_augmented_graph(
-            x, pool_mask, k=5, measure=measure, chunk_size=10_000
-        )
-        small = retrieval_augmented_graph(
-            x, pool_mask, k=5, measure=measure, chunk_size=17
-        )
-        np.testing.assert_array_equal(big.edge_index, small.edge_index)
+        x = rng.normal(size=(200, 6))
+        pool_mask = np.zeros(200, dtype=bool)
+        pool_mask[rng.choice(200, size=150, replace=False)] = True
+        pool, queries = x[pool_mask], x[~pool_mask]
+        exact = PoolIndex(pool, measure)
+        ivf = PoolIndex(pool, measure, backend="ivf", nprobe=2)
+        lunar = LUNAR(k=5, epochs=1).fit(pool)
+        self_match = np.arange(150)
 
+        def answers():
+            return [
+                exact.top_k(queries, 5),
+                exact.top_k(pool, 5, exclude=self_match),
+                exact.exact_top_k(pool, 5, exclude=self_match),
+                ivf.top_k(pool, 5, exclude=self_match),
+                ivf.exact_top_k(queries, 5),
+                retrieval_augmented_graph(
+                    x, pool_mask, k=5, measure=measure
+                ).edge_index,
+                knn_edges(pool, 5, metric=measure),
+                lunar._features(None),
+                lunar._features(queries),
+            ]
+
+        one_block = answers()
+        for rows in (1, 17):
+            monkeypatch.setattr(retrieval, "_SCAN_BLOCK", rows * 150)
+            for got, want in zip(answers(), one_block):
+                np.testing.assert_array_equal(got, want)
+
+    def test_knn_edges_memory_stays_flat(self):
+        # A dense n×n ranking of these rows peaks at 572 MiB.
+        x = np.random.default_rng(11).normal(size=(5000, 16))
+        tracemalloc.start()
+        try:
+            edges = knn_edges(x, 8)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert edges.shape == (2, 5000 * 8)
+        assert peak < 128 * 2**20, f"knn_edges peaked at {peak / 2**20:.0f} MiB"
+
+
+class TestRetrievalAugmentedGraphChunking:
     def test_ivf_graph_build_close_to_exact(self):
         rng = np.random.default_rng(10)
         x = _clustered(rng, 400)

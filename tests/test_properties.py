@@ -8,7 +8,12 @@ from hypothesis.extra.numpy import arrays
 
 from repro import metrics, nn
 from repro.construction.learned import topk_sparsify
-from repro.construction.rules import knn_edges, pairwise_distances, same_value_graph
+from repro.construction.rules import (
+    knn_edges,
+    pairwise_distances,
+    pairwise_similarity,
+    same_value_graph,
+)
 from repro.datasets.preprocessing import MinMaxScaler, StandardScaler
 from repro.gnn.readout import mean_readout, sum_readout
 from repro.graph.multiplex import group_mean_operators
@@ -293,6 +298,45 @@ def test_knn_outdegree_invariant(n, k):
     edges = knn_edges(x, k=k)
     counts = np.bincount(edges[1], minlength=n)
     assert np.all(counts == k)
+
+
+KNN_METRICS = ("euclidean", "manhattan", "cosine", "rbf", "heat", "pearson", "inner")
+
+
+@st.composite
+def tied_tables(draw):
+    """A small-integer table in which some rows are copies of others, and a
+    ``k`` it can serve: exact ties between neighbours are the rule."""
+    n = draw(st.integers(3, 12))
+    d = draw(st.integers(1, 4))
+    x = draw(arrays(np.float64, (n, d), elements=st.integers(-2, 2).map(float)))
+    for src, dst in draw(st.lists(st.tuples(st.integers(0, n - 1),
+                                            st.integers(0, n - 1)), max_size=n)):
+        x[dst] = x[src]
+    return x, draw(st.integers(1, n - 1))
+
+
+@settings(max_examples=100, deadline=None)
+@given(tied_tables())
+@example((np.zeros((5, 3)), 4))  # every row ties with every other
+def test_knn_picks_a_valid_k_nearest_set_under_ties(case):
+    x, k = case
+    n = x.shape[0]
+    for metric in KNN_METRICS:
+        edges = knn_edges(x, k=k, metric=metric)
+        neighbors = edges[0].reshape(n, k)
+        np.testing.assert_array_equal(edges[1], np.repeat(np.arange(n), k))
+        assert not np.any(neighbors == np.arange(n)[:, None]), metric
+        assert all(len(set(row)) == k for row in neighbors.tolist()), metric
+        # Dense reference: the neighbours' scores are the row's k best.
+        if metric in ("euclidean", "manhattan"):
+            scores = -pairwise_distances(x, metric)
+        else:
+            scores = pairwise_similarity(x, metric)
+        np.fill_diagonal(scores, -np.inf)
+        picked = np.sort(np.take_along_axis(scores, neighbors, axis=1), axis=1)
+        best = np.sort(scores, axis=1)[:, n - k:]
+        np.testing.assert_allclose(picked, best, rtol=0, atol=1e-12, err_msg=metric)
 
 
 @settings(max_examples=20, deadline=None)
