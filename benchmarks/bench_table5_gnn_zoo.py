@@ -66,9 +66,10 @@ def test_homogeneous_zoo(benchmark):
         ROWS.append((name.upper(), "homogeneous (kNN instance graph)",
                      citations[name], acc))
     # Mean aggregators are the reliable default on homophilic kNN graphs;
-    # GAT's attention-weighted mean belongs with them.
+    # GAT's attention-weighted mean belongs with them, and so does GIN's
+    # sum once its MLP normalizes the degree-scaled aggregate.
     assert results["gcn"] > 0.75 and results["sage"] > 0.75
-    assert results["gat"] > 0.75
+    assert results["gat"] > 0.75 and results["gin"] > 0.75
 
 
 def test_heterogeneous(benchmark):
@@ -134,9 +135,10 @@ def test_zzz_render_table5(benchmark):
             ROWS,
             note=("Classification rows: test accuracy (3 balanced classes,"
                   " 30% labels). GAE row: unsupervised anomaly ROC-AUC on its"
-                  " native task. Expected shape: mean-aggregating convs"
-                  " (GCN/SAGE/GAT/Gated) cluster together; sum-aggregating"
-                  " GIN is less suited to dense homophilic kNN graphs."),
+                  " native task. The mean-aggregating convs (GCN/SAGE/GAT/"
+                  "Gated) and sum-aggregating GIN, whose MLP layer-normalizes"
+                  " the degree-scaled neighbor sum, all learn the shared kNN"
+                  " graph; GCN, SAGE, GAT and GIN are each held above 0.75."),
         )
 
     once(benchmark, render)

@@ -113,12 +113,10 @@ def export_fraud_artifact(
 ):
     """Train a servable fraud scorer and export it as a model artifact.
 
-    The multi-relational TabGNN above is transductive (its relation graphs
-    are bound to the training table), so the deployment path trains the
-    instance-graph pipeline instead: incoming transactions link into the
-    frozen training pool by retrieval and are scored inductively.  Returns
-    the :class:`repro.serving.ModelArtifact`; also saves it when ``path``
-    is given.
+    The deployment path trains the instance-graph pipeline: incoming
+    transactions link into the frozen training pool by retrieval and are
+    scored inductively.  Returns the :class:`repro.serving.ModelArtifact`;
+    also saves it when ``path`` is given.
     """
     from repro.pipeline import run_pipeline
 

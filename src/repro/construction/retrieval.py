@@ -85,7 +85,9 @@ class _IVF:
         if self.nprobe < 1:
             raise ValueError("nprobe must be >= 1")
         self._index = index
-        pool_repr = index._pool_repr
+        # Row-major ranking representation (a no-copy view: _pool_t is
+        # itself the transpose of a C-contiguous matrix).
+        pool_repr = np.ascontiguousarray(index._pool_t.T)
         n = pool_repr.shape[0]
         nlist = int(np.clip(round(np.sqrt(n)), 1, n))
         rng = np.random.default_rng(_IVF_SEED)
@@ -114,6 +116,13 @@ class _IVF:
         self._offsets = np.concatenate(
             [[0], np.cumsum(counts)]
         ).astype(np.int64)
+        # The ranking rows (and the distance family's squared norms) in
+        # cell order: a probed cell scores as one contiguous slice, where
+        # gathering its members out of the pool would copy them per query.
+        self._cell_repr = pool_repr[self._order]
+        self._cell_sq = (
+            None if index._pool_sq is None else index._pool_sq[self._order]
+        )
 
     def _nearest_cell(self, rows: np.ndarray) -> np.ndarray:
         """Chunked nearest-centroid assignment by the ``−d²`` surrogate."""
@@ -171,7 +180,7 @@ class _IVF:
         for i in range(batch):
             excluded = -1 if exclude is None else int(exclude[i])
             need = k + (1 if excluded >= 0 else 0)
-            spans = []
+            cells = []
             count = 0
             probed = 0
             for cell in cell_order[i]:
@@ -179,11 +188,16 @@ class _IVF:
                     break
                 lo, hi = offsets[cell], offsets[cell + 1]
                 if hi > lo:
-                    spans.append(order[lo:hi])
+                    cells.append(slice(lo, hi))
                     count += hi - lo
                 probed += 1
-            candidates = spans[0] if len(spans) == 1 else np.concatenate(spans)
-            scores = index._subset_scores(q[i], candidates)
+            candidates = np.concatenate([order[cell] for cell in cells])
+            # The exact scan's ranking surrogate (the distance family's
+            # per-query constant dropped: it cannot change a ranking).
+            scores = np.concatenate([self._cell_repr[cell] @ q[i] for cell in cells])
+            if self._cell_sq is not None:
+                scores *= 2.0
+                scores -= np.concatenate([self._cell_sq[cell] for cell in cells])
             if excluded >= 0:
                 scores[candidates == excluded] = -np.inf
             if count > k:
@@ -254,9 +268,6 @@ class PoolIndex:
             self._pool_t = pool.T
             if measure in _DISTANCE_MEASURES:
                 self._pool_sq = _sq_norms(pool)
-        # Row-major ranking representation for subset gathers (a no-copy
-        # view: _pool_t is itself the transpose of a C-contiguous matrix).
-        self._pool_repr = np.ascontiguousarray(self._pool_t.T)
         #: IVF search counters (monotonic; the serving engine exports
         #: them).  The exact scan leaves them at zero.
         self.stats: Dict[str, int] = {
@@ -294,21 +305,6 @@ class PoolIndex:
                 np.linalg.norm(queries, axis=1, keepdims=True), 1e-12
             )
         return queries
-
-    def _subset_scores(
-        self, q_repr_row: np.ndarray, subset: np.ndarray
-    ) -> np.ndarray:
-        """Ranking scores of one query against a pool-row subset.
-
-        Same scores as :meth:`_exact_scan` ranks by — the distance measures
-        reuse the sqrt-free ``−d²`` surrogate (minus the per-query
-        constant, which cannot change a within-query ranking).
-        """
-        scores = self._pool_repr[subset] @ q_repr_row
-        if self._pool_sq is not None:
-            scores *= 2.0
-            scores -= self._pool_sq[subset]
-        return scores
 
     def _check(
         self, queries: np.ndarray, k: int, exclude: Optional[np.ndarray]

@@ -79,7 +79,7 @@ class RowScorer(abc.ABC):
         Built-in scorers build their model and lower it with a
         ``compile_*`` function of :mod:`repro.serving.compiled`, which
         folds the pool state into the plan's constants; ``score`` then
-        patches its per-request feeds into ``plan.run``.  The default
+        passes its per-request feeds to ``plan.run``.  The default
         returns ``None``: plug-in formulations serve through their own
         ``score`` without any extra work.  Built-in scorers raise
         :class:`~repro.serving.compiled.UnsupportedPlanError` when their

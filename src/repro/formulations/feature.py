@@ -37,7 +37,7 @@ class FeatureScorer(RowScorer):
         if self.plan is not None:
             with self.stage("plan_execute"):
                 x = np.nan_to_num(features, nan=0.0)  # as the tokenizer does
-                return self.plan.run(x.shape[0], {"x": x})
+                return self.plan.run({"x": x})
         if self._model is None:
             self._model = self._artifact.build_model()
             self._model.eval()

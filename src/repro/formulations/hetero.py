@@ -81,7 +81,7 @@ class HeteroScorer(RowScorer):
                 for name, ids in value_ids.items():
                     feeds[f"idx::{name}"] = np.maximum(ids, 0)
                     feeds[f"mask::{name}"] = ids >= 0
-                return self.plan.run(features.shape[0], feeds)
+                return self.plan.run(feeds)
         graph = self._fitted.graph.with_queries(features, value_ids)
         model = self._artifact.build_model(graph=graph)
         return model().data[self._fitted.pool_rows:]

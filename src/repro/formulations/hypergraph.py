@@ -78,7 +78,7 @@ class HypergraphScorer(RowScorer):
                 degree = np.maximum(present.sum(axis=1, keepdims=True), 1)
                 feeds = {"ids": np.maximum(member_ids, 0), "w": present / degree}
             with self.stage("plan_execute"):
-                return self.plan.run(member_ids.shape[0], feeds)
+                return self.plan.run(feeds)
         with self.stage("attach"):
             attached = self._fitted.graph.with_hyperedges(member_ids)
             model = self._artifact.build_model(graph=attached)

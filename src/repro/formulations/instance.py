@@ -125,9 +125,7 @@ class InstanceScorer(RowScorer):
                 self._observe_retrieval(features, neighbors)
         if self.plan is not None:
             with self.stage("plan_execute"):
-                return self.plan.run(
-                    features.shape[0], {"x": features, "nbr": neighbors}
-                )
+                return self.plan.run({"x": features, "nbr": neighbors})
         return self._forward_full(features, neighbors)
 
     def _observe_retrieval(

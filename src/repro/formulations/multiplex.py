@@ -113,7 +113,7 @@ class MultiplexScorer(RowScorer):
                 for rel, (_, group, matched) in enumerate(lookups):
                     feeds[f"idx{rel}"] = group
                     feeds[f"mask{rel}"] = matched
-                return self.plan.run(features.shape[0], feeds)
+                return self.plan.run(feeds)
         graph = self._fitted.graph.with_queries(
             features, [codes for codes, _, _ in lookups]
         )

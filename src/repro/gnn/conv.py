@@ -74,7 +74,11 @@ class GINConv(nn.Module):
 
     Consumes the *unnormalized* view (``"sum"``) — GIN's injectivity
     argument requires sums, not means.  ``eps`` is learnable as in the
-    original paper.
+    original paper.  The MLP normalizes its hidden layer, as Xu et al.'s
+    reference does: a sum over a dense neighborhood scales the input by
+    the degree, and without it every ReLU dies within a few steps.  It is
+    a LayerNorm (no running statistics), so training and serving compute
+    the same function.
     """
 
     view_kind = "sum"
@@ -83,7 +87,7 @@ class GINConv(nn.Module):
                  hidden_dim: Optional[int] = None) -> None:
         super().__init__()
         hidden = hidden_dim or out_features
-        self.mlp = nn.MLP(in_features, (hidden,), out_features, rng)
+        self.mlp = nn.MLP(in_features, (hidden,), out_features, rng, norm="layer")
         self.eps = nn.Parameter(np.zeros(1))
 
     def propagate(self, x: Tensor, view: EdgeView) -> Tensor:

@@ -5,8 +5,10 @@ generality costs the serve path dearly — every op wraps arrays, registers
 backward closures, and allocates. Each servable formulation's scorer
 lowers its query path **once**, in ``RowScorer.compile_plan``, to a flat
 :class:`~repro.serving.compiled.plan.InferencePlan`: an ordered list of
-pure-numpy kernel steps over preallocated, reused buffers, which the
-scorer runs per request as ``plan.run(batch, feeds)``. The
+pure-numpy kernel steps over the request's feeds, compile-time constants
+and earlier steps' results, which the scorer runs per request as
+``plan.run(feeds)``.  A plan owns no buffers (every kernel returns a new
+array), so one plan may serve concurrent callers.  The
 ``compile_*`` functions (:mod:`.lowering`) build that plan directly and
 advance the pool's own state through the layers they lower, so pool-side
 work (neighbor projections, per-value group means, typed edge

@@ -1,17 +1,12 @@
 """The compiled-plan kernel vocabulary: pure-numpy, no autograd.
 
-Every kernel is a plain function ``kernel(out, *arrays, **params)`` that
-writes its result into the preallocated ``out`` buffer — no
-:class:`repro.tensor.Tensor` wrappers, no backward-closure registration,
-no per-op output allocation.  A step of an
-:class:`~repro.serving.compiled.InferencePlan` holds the kernel it calls,
-so the functions defined here are the whole vocabulary a lowering emits;
-``plan.ops`` lists a plan's kernels by name.
-
-Buffer discipline: step *outputs* always land in plan-owned preallocated
-buffers (that is what makes execution allocation-stable across requests);
-kernels may allocate small O(B·k·d) internal temporaries where an
-``out=`` form does not exist — per-request garbage stays bounded by the
+Every kernel is a plain function ``kernel(*arrays, **params)`` that
+returns its result as a new array and writes none of its inputs — no
+:class:`repro.tensor.Tensor` wrappers, no backward-closure registration.
+A step of an :class:`~repro.serving.compiled.InferencePlan` holds the
+kernel it calls, so the functions defined here are the whole vocabulary
+a lowering emits; ``plan.ops`` lists a plan's kernels by name.  A kernel
+allocates only O(B·k·d) arrays: per-request garbage stays bounded by the
 query-block size, never the pool size.
 
 Numerical contract: each kernel reproduces the corresponding
@@ -28,48 +23,62 @@ import numpy as np
 # ---------------------------------------------------------------------------
 # dense algebra
 # ---------------------------------------------------------------------------
-def linear(out: np.ndarray, x: np.ndarray, w: np.ndarray, b=None) -> None:
-    """``out = x @ w (+ b)`` — the affine map of :class:`repro.nn.Linear`."""
-    np.matmul(x, w, out=out)
+def linear(x: np.ndarray, w: np.ndarray, b=None) -> np.ndarray:
+    """``x @ w (+ b)`` — the affine map of :class:`repro.nn.Linear`."""
+    out = x @ w
     if b is not None:
         out += b
+    return out
 
 
-def add(out: np.ndarray, a: np.ndarray, b: np.ndarray) -> None:
-    """``out = a + b`` (out may alias either operand)."""
-    np.add(a, b, out=out)
+def add(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    return a + b
 
 
-def add_scaled(out: np.ndarray, a: np.ndarray, b: np.ndarray, *, alpha: float) -> None:
-    """``out = a + alpha * b`` (out must not alias ``a`` or ``b``)."""
-    np.multiply(b, alpha, out=out)
-    out += a
+def add_scaled(a: np.ndarray, b: np.ndarray, *, alpha: float) -> np.ndarray:
+    """``a + alpha * b``."""
+    return a + alpha * b
 
 
-def relu(out: np.ndarray, x: np.ndarray) -> None:
-    np.maximum(x, 0.0, out=out)
+def layer_norm(
+    x: np.ndarray, gamma: np.ndarray, beta: np.ndarray, *, eps: float
+) -> np.ndarray:
+    """Matches :class:`repro.nn.LayerNorm`: over the last axis,
+    ``(x - mean) / (var + eps) ** 0.5 * gamma + beta``."""
+    centered = x - x.mean(axis=-1, keepdims=True)
+    var = (centered * centered).mean(axis=-1, keepdims=True)
+    return centered / np.power(var + eps, 0.5) * gamma + beta
 
 
-def elu(out: np.ndarray, x: np.ndarray, *, alpha: float = 1.0) -> None:
+def concat(*parts: np.ndarray) -> np.ndarray:
+    """The parts side by side along the feature axis."""
+    return np.concatenate(parts, axis=1)
+
+
+def relu(x: np.ndarray) -> np.ndarray:
+    return np.maximum(x, 0.0)
+
+
+def elu(x: np.ndarray, *, alpha: float = 1.0) -> np.ndarray:
     """Matches ``ops.elu``: ``where(x > 0, x, alpha * (exp(min(x, 0)) - 1))``."""
-    out[...] = np.where(x > 0.0, x, alpha * (np.exp(np.minimum(x, 0.0)) - 1.0))
+    return np.where(x > 0.0, x, alpha * (np.exp(np.minimum(x, 0.0)) - 1.0))
 
 
-def leaky_relu(out: np.ndarray, x: np.ndarray, *, slope: float = 0.2) -> None:
-    out[...] = np.where(x > 0.0, x, slope * x)
+def leaky_relu(x: np.ndarray, *, slope: float = 0.2) -> np.ndarray:
+    return np.where(x > 0.0, x, slope * x)
 
 
-def tanh(out: np.ndarray, x: np.ndarray) -> None:
-    np.tanh(x, out=out)
+def tanh(x: np.ndarray) -> np.ndarray:
+    return np.tanh(x)
 
 
-def sigmoid(out: np.ndarray, x: np.ndarray) -> None:
+def sigmoid(x: np.ndarray) -> np.ndarray:
     """Matches ``ops.sigmoid``: input clipped to ±60 before the exponential."""
-    np.clip(x, -60.0, 60.0, out=out)
+    out = np.clip(x, -60.0, 60.0)
     np.negative(out, out=out)
     np.exp(out, out=out)
     out += 1.0
-    np.reciprocal(out, out=out)
+    return np.reciprocal(out, out=out)
 
 
 def _softmax_inplace(scores: np.ndarray, axis: int) -> None:
@@ -82,61 +91,52 @@ def _softmax_inplace(scores: np.ndarray, axis: int) -> None:
 # ---------------------------------------------------------------------------
 # gather / attach aggregation
 # ---------------------------------------------------------------------------
-def gather_rows(out: np.ndarray, table: np.ndarray, idx: np.ndarray) -> None:
-    """``out = table[idx]`` along axis 0 (idx of any shape)."""
-    np.take(table, idx, axis=0, out=out)
+def gather_rows(table: np.ndarray, idx: np.ndarray) -> np.ndarray:
+    """``table[idx]`` along axis 0 (idx of any shape)."""
+    return np.take(table, idx, axis=0)
 
 
-def gather_sum(out: np.ndarray, table: np.ndarray, idx: np.ndarray) -> None:
+def gather_sum(table: np.ndarray, idx: np.ndarray) -> np.ndarray:
     """``out[b] = Σ_j table[idx[b, j]]`` — unweighted attach aggregation."""
     batch, k = idx.shape
-    out[...] = table[idx.ravel()].reshape(batch, k, -1).sum(axis=1)
+    return table[idx.ravel()].reshape(batch, k, -1).sum(axis=1)
 
 
-def gather_sum_add(out: np.ndarray, a: np.ndarray, table: np.ndarray, idx: np.ndarray) -> None:
-    """``out = a + Σ_j table[idx[b, j]]`` — fused gather→sum→add."""
-    batch, k = idx.shape
-    np.add(a, table[idx.ravel()].reshape(batch, k, -1).sum(axis=1), out=out)
+def gather_sum_add(a: np.ndarray, table: np.ndarray, idx: np.ndarray) -> np.ndarray:
+    """``a + Σ_j table[idx[b, j]]`` — fused gather→sum→add."""
+    return a + gather_sum(table, idx)
 
 
-def gather_weighted_sum(
-    out: np.ndarray, table: np.ndarray, idx: np.ndarray, w: np.ndarray
-) -> None:
+def gather_weighted_sum(table: np.ndarray, idx: np.ndarray, w: np.ndarray) -> np.ndarray:
     """``out[b] = Σ_j w[b, j] · table[idx[b, j]]`` — weighted attach edges."""
     batch, k = idx.shape
-    np.einsum(
-        "bkd,bk->bd", table[idx.ravel()].reshape(batch, k, -1), w, out=out
-    )
+    return np.einsum("bkd,bk->bd", table[idx.ravel()].reshape(batch, k, -1), w)
 
 
 def gather_where(
-    out: np.ndarray,
-    table: np.ndarray,
-    idx: np.ndarray,
-    mask: np.ndarray,
-    fallback: np.ndarray,
-) -> None:
+    table: np.ndarray, idx: np.ndarray, mask: np.ndarray, fallback: np.ndarray
+) -> np.ndarray:
     """``out[b] = table[idx[b]] if mask[b] else fallback[b]`` (1-D idx)."""
-    np.take(table, idx, axis=0, out=out)
+    out = np.take(table, idx, axis=0)
     miss = ~mask
     if miss.any():
         out[miss] = fallback[miss]
+    return out
 
 
 def masked_gather_add(
-    out: np.ndarray, table: np.ndarray, idx: np.ndarray, mask: np.ndarray
-) -> None:
-    """``out[b] += table[idx[b]] if mask[b] else 0`` (idx pre-clipped ≥ 0)."""
+    a: np.ndarray, table: np.ndarray, idx: np.ndarray, mask: np.ndarray
+) -> np.ndarray:
+    """``out[b] = a[b] + (table[idx[b]] if mask[b] else 0)`` (idx pre-clipped ≥ 0)."""
     gathered = table[idx]
     gathered[~mask] = 0.0
-    out += gathered
+    return a + gathered
 
 
 # ---------------------------------------------------------------------------
 # fused attach-attention (GAT over the fixed k + 1 attach topology)
 # ---------------------------------------------------------------------------
 def gat_attach(
-    out: np.ndarray,
     x: np.ndarray,
     weight: np.ndarray,
     att_src: np.ndarray,
@@ -145,13 +145,10 @@ def gat_attach(
     pool_h: np.ndarray,
     pool_score: np.ndarray,
     idx: np.ndarray,
-    hq: np.ndarray,
-    vals: np.ndarray,
-    scores: np.ndarray,
     *,
     slope: float,
     concat: bool,
-) -> None:
+) -> np.ndarray:
     """One GAT layer over the attach view, fused gather→score→softmax→sum.
 
     Each query attends over exactly its ``k`` retrieved neighbors plus its
@@ -164,114 +161,81 @@ def gat_attach(
     batch, k = idx.shape
     heads, out_features = att_src.shape
     flat = idx.ravel()
-    np.matmul(x, weight, out=hq.reshape(batch, heads * out_features))
-    vals[:, :k] = pool_h[flat].reshape(batch, k, heads, out_features)
-    vals[:, k] = hq
-    scores[:, :k] = pool_score[flat].reshape(batch, k, heads)
-    scores[:, k] = np.einsum("bho,ho->bh", hq, att_src)
+    hq = (x @ weight).reshape(batch, heads, out_features)
+    vals = np.concatenate(
+        [pool_h[flat].reshape(batch, k, heads, out_features), hq[:, None]], axis=1
+    )
+    scores = np.concatenate(
+        [
+            pool_score[flat].reshape(batch, k, heads),
+            np.einsum("bho,ho->bh", hq, att_src)[:, None],
+        ],
+        axis=1,
+    )
     scores += np.einsum("bho,ho->bh", hq, att_dst)[:, None, :]
-    scores[...] = np.where(scores > 0.0, scores, slope * scores)
+    scores = np.where(scores > 0.0, scores, slope * scores)
     _softmax_inplace(scores, axis=1)
     agg = np.einsum("bjh,bjho->bho", scores, vals)
-    if concat:
-        out[...] = agg.reshape(batch, heads * out_features)
-    else:
-        np.mean(agg, axis=1, out=out)
+    out = agg.reshape(batch, heads * out_features) if concat else agg.mean(axis=1)
     out += bias
+    return out
 
 
 # ---------------------------------------------------------------------------
 # gated GRU step
 # ---------------------------------------------------------------------------
 def gru_step(
-    out: np.ndarray,
     x: np.ndarray,
     h: np.ndarray,
     w_ir: np.ndarray, w_hr: np.ndarray, b_r: np.ndarray,
     w_iz: np.ndarray, w_hz: np.ndarray, b_z: np.ndarray,
     w_in: np.ndarray, w_hn: np.ndarray, b_n: np.ndarray,
-    r: np.ndarray, z: np.ndarray, n: np.ndarray, tmp: np.ndarray,
-) -> None:
-    """One :class:`repro.nn.GRUCell` update, scratch buffers preallocated.
-
-    ``out`` must not alias ``x`` or ``h``; the four trailing buffers are
-    (B, hidden) scratch reused across requests.
-    """
-    np.matmul(x, w_ir, out=r)
-    np.matmul(h, w_hr, out=tmp)
-    r += tmp
-    r += b_r
-    sigmoid(r, r)
-    np.matmul(x, w_iz, out=z)
-    np.matmul(h, w_hz, out=tmp)
-    z += tmp
-    z += b_z
-    sigmoid(z, z)
-    np.multiply(r, h, out=r)  # reset-gated hidden state
-    np.matmul(x, w_in, out=n)
-    np.matmul(r, w_hn, out=tmp)
-    n += tmp
-    n += b_n
-    np.tanh(n, out=n)
-    np.subtract(1.0, z, out=tmp)
-    np.multiply(tmp, n, out=out)
-    np.multiply(z, h, out=tmp)
-    out += tmp
+) -> np.ndarray:
+    """One :class:`repro.nn.GRUCell` update."""
+    r = sigmoid(x @ w_ir + h @ w_hr + b_r)
+    z = sigmoid(x @ w_iz + h @ w_hz + b_z)
+    n = np.tanh(x @ w_in + (r * h) @ w_hn + b_n)
+    return (1.0 - z) * n + z * h
 
 
 # ---------------------------------------------------------------------------
 # feature-graph (columns-as-nodes) kernels
 # ---------------------------------------------------------------------------
-def feature_tokens(out: np.ndarray, x: np.ndarray, w: np.ndarray, b: np.ndarray) -> None:
+def feature_tokens(x: np.ndarray, w: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Feature tokenizer: ``out[b, f] = x[b, f] * w[f] + b[f]`` (B, F, E)."""
-    np.multiply(x[:, :, None], w, out=out)
+    out = x[:, :, None] * w
     out += b
+    return out
 
 
-def feature_layer(
-    out: np.ndarray,
-    adj: np.ndarray,
-    w: np.ndarray,
-    b: np.ndarray,
-    flat: np.ndarray,
-    msg: np.ndarray,
-) -> None:
-    """One learned-field-graph propagation, in place on the token buffer:
-    ``h ← relu(h + adj @ (h @ w + b))`` with (B, F, E) scratch buffers."""
-    batch, nodes, dim = out.shape
-    np.matmul(out.reshape(batch * nodes, dim), w, out=flat.reshape(batch * nodes, -1))
+def feature_layer(h: np.ndarray, adj: np.ndarray, w: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """One learned-field-graph propagation over the (B, F, E) tokens:
+    ``relu(h + adj @ (h @ w + b))``."""
+    batch, nodes, dim = h.shape
+    flat = (h.reshape(batch * nodes, dim) @ w).reshape(batch, nodes, -1)
     flat += b
-    np.matmul(adj, flat, out=msg)
-    out += msg
-    np.maximum(out, 0.0, out=out)
+    return np.maximum(h + adj @ flat, 0.0)
 
 
-def attention_readout(
-    out: np.ndarray, h: np.ndarray, w: np.ndarray, b: np.ndarray, scores: np.ndarray
-) -> None:
+def attention_readout(h: np.ndarray, w: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Gated attention pooling over the node axis (B, F, E) → (B, E)."""
     batch, nodes, dim = h.shape
-    np.matmul(h.reshape(batch * nodes, dim), w, out=scores.reshape(batch * nodes, 1))
+    scores = (h.reshape(batch * nodes, dim) @ w).reshape(batch, nodes)
     scores += b
     _softmax_inplace(scores, axis=1)
-    np.einsum("bf,bfe->be", scores, h, out=out)
+    return np.einsum("bf,bfe->be", scores, h)
 
 
 # ---------------------------------------------------------------------------
 # multiplex (TabGNN) relation fusion
 # ---------------------------------------------------------------------------
-def tabgnn_fuse(
-    out: np.ndarray, att_vec: np.ndarray, scores: np.ndarray, *embs: np.ndarray
-) -> None:
-    """Attention fusion over relation embeddings: softmax-weighted sum.
-
-    ``scores`` is (B, R) scratch; ``out`` may be a column view into a
-    concat parent buffer (accumulation handles strided outputs).
-    """
-    for rel, h in enumerate(embs):
-        np.einsum("bh,h->b", np.tanh(h), att_vec, out=scores[:, rel])
+def tabgnn_fuse(att_vec: np.ndarray, *embs: np.ndarray) -> np.ndarray:
+    """Attention fusion over relation embeddings: softmax-weighted sum."""
+    scores = np.stack(
+        [np.einsum("bh,h->b", np.tanh(h), att_vec) for h in embs], axis=1
+    )
     _softmax_inplace(scores, axis=1)
-    out.fill(0.0)
+    out = np.zeros_like(embs[0])
     for rel, h in enumerate(embs):
         out += scores[:, rel : rel + 1] * h
-
+    return out

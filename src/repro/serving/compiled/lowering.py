@@ -3,8 +3,8 @@
 Every ``compile_*`` function takes the formulation's model, freshly built
 by its scorer, and builds the
 :class:`~repro.serving.compiled.plan.InferencePlan` the scorer runs: its
-feeds, constants and buffers, one step per :mod:`.kernels` call, then its
-output.  While it walks the layers it lowers, it also advances the pool's own
+feeds and constants, one step per :mod:`.kernels` call, then its output.
+While it walks the layers it lowers, it also advances the pool's own
 state through them (eval mode, no autograd tape), so every
 request-invariant pool-side quantity is pushed through the layer weights
 once and folded into the plan's constants.
@@ -27,8 +27,8 @@ propagate step folds in as:
   ``(B, k+1, heads)``;
 * gated: pool messages with the ``1/(k+1)`` mean-with-loops coefficient
   folded into both the pool table and the query's message weights;
-* GIN aggregates raw states (the nonlinear MLP follows aggregation), so
-  only the gather fuses.
+* GIN aggregates raw states (the nonlinear MLP, LayerNorm included,
+  follows aggregation), so only the gather fuses.
 
 **feature** — row-wise: the learned field adjacency is softmax-normalized
 once; tokenize → propagate → readout → head run as five fused kernels.
@@ -54,7 +54,7 @@ engine then refuses to start rather than serve slower.
 from __future__ import annotations
 
 import math
-from typing import List, Optional, Tuple
+from typing import List, Tuple
 
 import numpy as np
 
@@ -77,32 +77,21 @@ _ACTIVATIONS = {
 }
 
 
-def lower_linear(
-    plan: InferencePlan, linear: nn.Linear, h: str, out: Optional[str] = None
-) -> Tuple[str, int]:
-    """Emit ``out = h @ W (+ b)``; returns (buffer name, width)."""
-    width = int(linear.out_features)
+def lower_linear(plan: InferencePlan, linear: nn.Linear, h: str) -> Tuple[str, int]:
+    """Emit ``h @ W (+ b)``; returns (result name, width)."""
     w = plan.const(plan.fresh("w"), linear.weight.data)
     inputs = (h, w)
     if linear.bias is not None:
         inputs = (h, w, plan.const(plan.fresh("b"), linear.bias.data))
-    if out is None:
-        out = plan.buffer(plan.fresh("lin"), lambda batch, d=width: (batch, d))
-    plan.step(kernels.linear, inputs, out)
-    return out, width
+    return plan.step(kernels.linear, inputs, plan.fresh("lin")), int(linear.out_features)
 
 
-def lower_activation_fn(plan: InferencePlan, fn, h: str, width: int) -> str:
-    """Emit a named activation on ``h`` (in place unless ``h`` is a feed)."""
+def lower_activation_fn(plan: InferencePlan, fn, h: str) -> str:
+    """Emit a named activation on ``h``."""
     kernel = _ACTIVATIONS.get(fn)
     if kernel is None:
         raise UnsupportedPlanError(f"unsupported local step: {fn!r}")
-    if h == "x":  # never mutate the caller-owned feature feed
-        out = plan.buffer(plan.fresh("act"), lambda batch, d=width: (batch, d))
-        plan.step(kernel, (h,), out)
-        return out
-    plan.step(kernel, (h,), h)
-    return h
+    return plan.step(kernel, (h,), plan.fresh("act"))
 
 
 def lower_mlp(plan: InferencePlan, mlp: nn.MLP, h: str, width: int) -> Tuple[str, int]:
@@ -118,7 +107,14 @@ def lower_mlp(plan: InferencePlan, mlp: nn.MLP, h: str, width: int) -> Tuple[str
                 raise UnsupportedPlanError(
                     f"unsupported MLP activation: {layer.name!r}"
                 )
-            plan.step(kernel, (h,), h)
+            h = plan.step(kernel, (h,), plan.fresh("act"))
+        elif isinstance(layer, nn.LayerNorm):
+            gamma = plan.const(plan.fresh("ln_g"), layer.gamma.data)
+            beta = plan.const(plan.fresh("ln_b"), layer.beta.data)
+            h = plan.step(
+                kernels.layer_norm, (h, gamma, beta), plan.fresh("ln"),
+                eps=float(layer.eps),
+            )
         elif isinstance(layer, nn.Dropout):
             continue  # eval mode: identity
         else:
@@ -127,23 +123,18 @@ def lower_mlp(plan: InferencePlan, mlp: nn.MLP, h: str, width: int) -> Tuple[str
 
 
 def _lower_gcn(plan, conv, pool_hidden, k, h):
-    width = int(conv.linear.out_features)
     proj = pool_hidden @ conv.linear.weight.data
     if conv.linear.bias is not None:
         proj = proj + conv.linear.bias.data
     pool_proj = plan.const(plan.fresh("gcn_pool"), proj)
-    selfp, _ = lower_linear(plan, conv.linear, h)
-    attw = plan.buffer(plan.fresh("gcn_w"), lambda batch, kk=k: (batch, kk))
-    plan.step(kernels.gather_rows, ("gcn_attach_w", "nbr"), attw)
-    agg = plan.buffer(plan.fresh("gcn_agg"), lambda batch, d=width: (batch, d))
-    plan.step(kernels.gather_weighted_sum, (pool_proj, "nbr", attw), agg)
-    out = plan.buffer(plan.fresh("h"), lambda batch, d=width: (batch, d))
-    plan.step(kernels.add_scaled, (agg, selfp), out, alpha=1.0 / (k + 1.0))
+    selfp, width = lower_linear(plan, conv.linear, h)
+    attw = plan.step(kernels.gather_rows, ("gcn_attach_w", "nbr"), plan.fresh("gcn_w"))
+    agg = plan.step(kernels.gather_weighted_sum, (pool_proj, "nbr", attw), plan.fresh("agg"))
+    out = plan.step(kernels.add_scaled, (agg, selfp), plan.fresh("h"), alpha=1.0 / (k + 1.0))
     return out, width
 
 
 def _lower_sage(plan, conv, pool_hidden, k, h, width):
-    out_width = int(conv.linear.out_features)
     weight = conv.linear.weight.data
     if weight.shape[0] != 2 * width:
         raise UnsupportedPlanError("SAGE weight width does not match input")
@@ -152,19 +143,18 @@ def _lower_sage(plan, conv, pool_hidden, k, h, width):
     pool_proj = plan.const(
         plan.fresh("sage_pool"), (pool_hidden @ weight[width:]) / float(k)
     )
-    selfp = plan.buffer(plan.fresh("sage_own"), lambda batch, d=out_width: (batch, d))
-    plan.step(kernels.linear, (h, w_self, b), selfp)
-    out = plan.buffer(plan.fresh("h"), lambda batch, d=out_width: (batch, d))
-    plan.step(kernels.gather_sum_add, (selfp, pool_proj, "nbr"), out)
-    return out, out_width
+    selfp = plan.step(kernels.linear, (h, w_self, b), plan.fresh("sage_own"))
+    out = plan.step(kernels.gather_sum_add, (selfp, pool_proj, "nbr"), plan.fresh("h"))
+    return out, int(conv.linear.out_features)
 
 
 def _lower_gin(plan, conv, pool_hidden, h, width):
     pool_state = plan.const(plan.fresh("gin_pool"), pool_hidden)
-    agg = plan.buffer(plan.fresh("gin_agg"), lambda batch, d=width: (batch, d))
-    plan.step(kernels.gather_sum, (pool_state, "nbr"), agg)
-    pre = plan.buffer(plan.fresh("gin_pre"), lambda batch, d=width: (batch, d))
-    plan.step(kernels.add_scaled, (agg, h), pre, alpha=1.0 + float(conv.eps.data[0]))
+    agg = plan.step(kernels.gather_sum, (pool_state, "nbr"), plan.fresh("gin_agg"))
+    pre = plan.step(
+        kernels.add_scaled, (agg, h), plan.fresh("gin_pre"),
+        alpha=1.0 + float(conv.eps.data[0]),
+    )
     return lower_mlp(plan, conv.mlp, pre, width)
 
 
@@ -181,27 +171,14 @@ def _lower_gat(plan, conv, pool_hidden, k, h):
     pool_score = plan.const(
         plan.fresh("gat_pool_s"), (pool_h * conv.att_src.data).sum(axis=-1)
     )
-    hq = plan.buffer(
-        plan.fresh("gat_hq"), lambda batch, a=heads, b=out_features: (batch, a, b)
-    )
-    vals = plan.buffer(
-        plan.fresh("gat_vals"),
-        lambda batch, kk=k, a=heads, b=out_features: (batch, kk + 1, a, b),
-    )
-    scores = plan.buffer(
-        plan.fresh("gat_scores"), lambda batch, kk=k, a=heads: (batch, kk + 1, a)
-    )
-    width = int(conv.output_dim)
-    out = plan.buffer(plan.fresh("h"), lambda batch, d=width: (batch, d))
-    plan.step(
+    out = plan.step(
         kernels.gat_attach,
-        (h, weight, att_src, att_dst, bias, pool_hc, pool_score, "nbr",
-         hq, vals, scores),
-        out,
+        (h, weight, att_src, att_dst, bias, pool_hc, pool_score, "nbr"),
+        plan.fresh("h"),
         slope=float(conv.negative_slope),
         concat=bool(conv.concat_heads),
     )
-    return out, width
+    return out, int(conv.output_dim)
 
 
 def _lower_gated(plan, conv, pool_hidden, k, h, width):
@@ -217,22 +194,14 @@ def _lower_gated(plan, conv, pool_hidden, k, h, width):
     if conv.message.bias is not None:
         proj = proj + conv.message.bias.data
     pool_msg = plan.const(plan.fresh("ggnn_pool"), proj * scale)
-    own = plan.buffer(plan.fresh("ggnn_own"), lambda batch, d=width: (batch, d))
-    plan.step(kernels.linear, msg_inputs, own)
-    aggm = plan.buffer(plan.fresh("ggnn_agg"), lambda batch, d=width: (batch, d))
-    plan.step(kernels.gather_sum_add, (own, pool_msg, "nbr"), aggm)
+    own = plan.step(kernels.linear, msg_inputs, plan.fresh("ggnn_own"))
+    aggm = plan.step(kernels.gather_sum_add, (own, pool_msg, "nbr"), plan.fresh("ggnn_agg"))
     gru = conv.gru
     weights = tuple(
         plan.const(plan.fresh(f"gru_{name}"), getattr(gru, name).data)
         for name in ("w_ir", "w_hr", "b_r", "w_iz", "w_hz", "b_z", "w_in", "w_hn", "b_n")
     )
-    scratch = tuple(
-        plan.buffer(f"gru_scratch_{name}", lambda batch, d=width: (batch, d))
-        for name in ("r", "z", "n", "tmp")
-    )
-    out = plan.buffer(plan.fresh("h"), lambda batch, d=width: (batch, d))
-    plan.step(kernels.gru_step, (aggm, h) + weights + scratch, out)
-    return out, width
+    return plan.step(kernels.gru_step, (aggm, h) + weights, plan.fresh("h")), width
 
 
 # ---------------------------------------------------------------------------
@@ -302,11 +271,11 @@ def compile_instance(model, k: int) -> InferencePlan:
             elif isinstance(fn, nn.MLP):
                 h, width = lower_mlp(plan, fn, h, width)
             else:
-                h = lower_activation_fn(plan, fn, h, width)
+                h = lower_activation_fn(plan, fn, h)
             if i < last:
                 pool = fn(pool)
     if h == "x":
-        raise UnsupportedPlanError("plan produced no output buffer")
+        raise UnsupportedPlanError("plan produced no output")
     plan.output = h
     return plan
 
@@ -327,19 +296,14 @@ def compile_feature(model) -> InferencePlan:
     adj_raw = adj_raw - adj_raw.max(axis=1, keepdims=True)
     adj_raw = np.exp(adj_raw)
     adj = plan.const("adjacency", adj_raw / adj_raw.sum(axis=1, keepdims=True))
-    tok = plan.buffer("tokens", lambda batch: (batch, fields, embed))
-    plan.step(kernels.feature_tokens, ("x", token_w, token_b), tok)
-    flat = plan.buffer("scratch_flat", lambda batch: (batch, fields, embed))
-    msg = plan.buffer("scratch_msg", lambda batch: (batch, fields, embed))
+    tok = plan.step(kernels.feature_tokens, ("x", token_w, token_b), "tokens")
     for linear in model.propagations:
         w = plan.const(plan.fresh("w"), linear.weight.data)
         b = plan.const(plan.fresh("b"), linear.bias.data)
-        plan.step(kernels.feature_layer, (adj, w, b, flat, msg), tok)
+        tok = plan.step(kernels.feature_layer, (tok, adj, w, b), plan.fresh("tokens"))
     score_w = plan.const("readout_w", model.readout.score.weight.data)
     score_b = plan.const("readout_b", model.readout.score.bias.data)
-    scores = plan.buffer("readout_scores", lambda batch: (batch, fields))
-    pooled = plan.buffer("pooled", lambda batch: (batch, embed))
-    plan.step(kernels.attention_readout, (tok, score_w, score_b, scores), pooled)
+    pooled = plan.step(kernels.attention_readout, (tok, score_w, score_b), "pooled")
     out, _ = lower_mlp(plan, model.head, pooled, embed)
     plan.output = out
     return plan
@@ -361,7 +325,6 @@ def compile_multiplex(model) -> InferencePlan:
         raise UnsupportedPlanError("only attention fusion is lowered")
     model.eval()
     hidden = int(model.attention_vector.data.shape[0])
-    relations = len(model.relation_encoders)
     plan = InferencePlan()
     plan.feed("x")
     emb_names: List[str] = []
@@ -384,29 +347,19 @@ def compile_multiplex(model) -> InferencePlan:
                     table = np.zeros((1, width))
                 table = plan.const(f"means_{rel}_{i}", table)
                 own, _ = lower_linear(plan, conv.linear, h)
-                nxt = plan.buffer(
-                    plan.fresh(f"rel{rel}_h"), lambda batch, d=width: (batch, d)
-                )
-                plan.step(
-                    kernels.gather_where, (table, f"idx{rel}", f"mask{rel}", own), nxt
+                h = plan.step(
+                    kernels.gather_where, (table, f"idx{rel}", f"mask{rel}", own),
+                    plan.fresh(f"rel{rel}_h"),
                 )
                 if i < len(convs) - 1:
-                    plan.step(kernels.relu, (nxt,), nxt)
+                    h = plan.step(kernels.relu, (h,), plan.fresh(f"rel{rel}_h"))
                     pool = ops.relu(Tensor(members @ group_means))
-                h = nxt
             emb_names.append(h)
-    combined = plan.buffer("combined", lambda batch: (batch, 2 * hidden))
-    fused = plan.view(
-        "fused", combined, lambda batch: (slice(None), slice(0, hidden))
-    )
-    selfv = plan.view(
-        "self_h", combined, lambda batch: (slice(None), slice(hidden, 2 * hidden))
-    )
     att = plan.const("att_vec", model.attention_vector.data)
-    fscores = plan.buffer("fuse_scores", lambda batch: (batch, relations))
-    plan.step(kernels.tabgnn_fuse, (att, fscores) + tuple(emb_names), fused)
+    fused = plan.step(kernels.tabgnn_fuse, (att,) + tuple(emb_names), "fused")
     selfp, _ = lower_linear(plan, model.self_proj, "x")
-    plan.step(kernels.relu, (selfp,), selfv)
+    selfv = plan.step(kernels.relu, (selfp,), "self_h")
+    combined = plan.step(kernels.concat, (fused, selfv), "combined")
     out, _ = lower_mlp(plan, model.head, combined, 2 * hidden)
     plan.output = out
     return plan
@@ -452,13 +405,13 @@ def compile_hetero(network) -> InferencePlan:
                     plan.fresh(f"hetero_{src_type}"),
                     feats[src_type].data @ linear.weight.data,
                 )
-                plan.step(
+                out = plan.step(
                     kernels.masked_gather_add,
-                    (proj, f"idx::{src_type}", f"mask::{src_type}"),
-                    out,
+                    (out, proj, f"idx::{src_type}", f"mask::{src_type}"),
+                    plan.fresh("h"),
                 )
             if li < len(layers) - 1:
-                plan.step(kernels.relu, (out,), out)
+                out = plan.step(kernels.relu, (out,), plan.fresh("h"))
                 feats = {t: ops.relu(s) for t, s in layer(feats).items()}
             h = out
     plan.output = h
@@ -489,8 +442,6 @@ def compile_hypergraph(model) -> InferencePlan:
     plan.feed("w")
     table = plan.const("node_proj", states @ head.weight.data)
     bias_c = plan.const("head_bias", bias)
-    out = plan.buffer("logits", lambda batch: (batch, out_dim))
-    plan.step(kernels.gather_weighted_sum, (table, "ids", "w"), out)
-    plan.step(kernels.add, (out, bias_c), out)
-    plan.output = out
+    agg = plan.step(kernels.gather_weighted_sum, (table, "ids", "w"), "agg")
+    plan.output = plan.step(kernels.add, (agg, bias_c), "logits")
     return plan

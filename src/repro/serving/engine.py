@@ -109,8 +109,8 @@ class InferenceEngine:
     compiled:
         ``True`` (default) serves the compiled plan
         (:mod:`repro.serving.compiled`), lowered once at construction:
-        pure-numpy kernels over preallocated reused buffers, no autograd
-        on the hot path, pool-side work folded into compile-time
+        pure-numpy kernels that each return a new array, no autograd on
+        the hot path, pool-side work folded into compile-time
         constants, so a request costs O(B·k·d) / O(B·columns·d).  A
         built-in formulation whose model does not lower raises
         :class:`~repro.serving.compiled.UnsupportedPlanError` here rather

@@ -2,7 +2,7 @@
 
 Parity at the engine level is fuzzed per registry cell in
 ``test_formulation_matrix.py``; this module tests the plan machinery
-itself — the kernels its steps call, buffer lifecycle, per-network
+itself — the kernels its steps call, fresh results per run, per-network
 lowering of every conv substrate against the ``compiled=False`` oracle
 (untrained artifacts: lowering correctness does not depend on the
 weights), and path selection (a built-in model that cannot lower refuses
@@ -86,39 +86,23 @@ def _rows(artifact, n=12, seed=42):
 # plan machinery
 # ---------------------------------------------------------------------------
 class TestPlanMachinery:
-    def test_plan_reuses_buffers_per_batch_size(self):
+    def test_run_returns_a_fresh_array(self):
+        # A plan owns no buffers: a result held across a second run keeps
+        # its values, and no step writes the caller's feed.
         plan = InferencePlan()
         plan.feed("x")
         w = plan.const("w", np.eye(3))
-        plan.output = plan.buffer("out", lambda batch: (batch, 3))
-        plan.step(kernels.linear, ("x", w), plan.output)
-
-        first = plan.run(4, {"x": np.ones((4, 3))})
-        assert plan.reallocations == 1
-        np.testing.assert_allclose(first, 1.0)
-        second = plan.run(4, {"x": np.full((4, 3), 2.0)})
-        assert second is first  # plan-owned output buffer, reused
-        assert plan.reallocations == 1
-        plan.run(2, {"x": np.ones((2, 3))})
-        assert plan.reallocations == 2
-
-    def test_views_are_windows_into_parent_buffers(self):
-        plan = InferencePlan()
-        plan.feed("x")
-        w = plan.const("w", np.eye(2))
-        plan.output = plan.buffer("combined", lambda batch: (batch, 4))
-        left = plan.view(
-            "left", plan.output, lambda batch: (slice(None), slice(0, 2))
-        )
-        right = plan.view(
-            "right", plan.output, lambda batch: (slice(None), slice(2, 4))
-        )
-        plan.step(kernels.linear, ("x", w), left)
-        plan.step(kernels.relu, ("x",), right)
+        lin = plan.step(kernels.linear, ("x", w), "lin")
+        plan.output = plan.step(kernels.relu, (lin,), "out")
         assert plan.ops == ("linear", "relu")
-        got = plan.run(3, {"x": np.full((3, 2), -1.5)})
-        np.testing.assert_allclose(got[:, :2], -1.5)
-        np.testing.assert_allclose(got[:, 2:], 0.0)
+        feed = np.full((4, 3), -1.0)
+        feed.flags.writeable = False
+        first = plan.run({"x": np.full((4, 3), 2.0)})
+        second = plan.run({"x": feed})
+        assert second is not first
+        np.testing.assert_array_equal(first, 2.0)
+        np.testing.assert_array_equal(second, 0.0)
+        np.testing.assert_array_equal(feed, -1.0)
 
     @pytest.mark.parametrize(("form", "network"), PLAN_CELLS)
     def test_every_step_op_is_in_the_kernel_vocabulary(

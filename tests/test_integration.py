@@ -27,23 +27,31 @@ from repro.tensor import Tensor
 class TestNetworks:
     @pytest.mark.parametrize("name", ["gcn", "sage", "gat", "gin", "gated"])
     def test_every_architecture_trains_above_chance(self, name):
-        ds = make_correlated_instances(n=150, cluster_strength=2.0, seed=2)
-        x = ds.to_matrix()
-        g = knn_graph(x, k=6, y=ds.y)
-        rng = np.random.default_rng(0)
-        train, val, test = train_val_test_masks(150, 0.5, 0.2, rng, stratify=ds.y)
-        model = build_network(name, g, 16, ds.num_classes, rng)
-        opt = nn.Adam(model.parameters(), lr=0.01)
-        for _ in range(60):
-            model.train()
-            loss = nn.cross_entropy(model(), ds.y, mask=train)
-            opt.zero_grad()
-            loss.backward()
-            opt.step()
-        model.eval()
-        acc = accuracy(ds.y[test], model().data.argmax(1)[test])
-        chance = 1.0 / ds.num_classes
-        assert acc > chance + 0.15, f"{name} failed to beat chance: {acc}"
+        # A small sparse graph, then Table 5's setting: 400 rows, k=8, 30%
+        # labels, width 32 and weight decay, where a degree-scaled sum
+        # kills every ReLU of an unnormalized GIN.
+        settings = [
+            # (rows, cluster strength, seed, k, train share, width, decay)
+            (150, 2.0, 2, 6, 0.5, 16, 0.0),
+            (400, 1.5, 0, 8, 0.3, 32, 5e-4),
+        ]
+        for n, strength, seed, k, share, width, decay in settings:
+            ds = make_correlated_instances(n=n, cluster_strength=strength, seed=seed)
+            g = knn_graph(ds.to_matrix(), k=k, y=ds.y)
+            rng = np.random.default_rng(0)
+            train, val, test = train_val_test_masks(n, share, 0.2, rng, stratify=ds.y)
+            model = build_network(name, g, width, ds.num_classes, rng)
+            opt = nn.Adam(model.parameters(), lr=0.01, weight_decay=decay)
+            for _ in range(60):
+                model.train()
+                loss = nn.cross_entropy(model(), ds.y, mask=train)
+                opt.zero_grad()
+                loss.backward()
+                opt.step()
+            model.eval()
+            acc = accuracy(ds.y[test], model().data.argmax(1)[test])
+            chance = 1.0 / ds.num_classes
+            assert acc > chance + 0.15, f"{name} failed to beat chance at n={n}: {acc}"
 
     def test_unknown_architecture_raises(self):
         ds = make_correlated_instances(n=30, seed=0)

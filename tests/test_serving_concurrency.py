@@ -9,13 +9,16 @@ concurrently, and
 * the LRU prediction cache stays consistent under contention and its
   entries are immutable (caller mutation raises instead of poisoning
   later hits);
-* the ``stats`` counters account for every row exactly once.
+* the ``stats`` counters account for every row exactly once;
+* one compiled plan serves concurrent callers: it holds no per-request
+  state, so runs outside the engine lock answer exactly as serial ones.
 
-The artifact under test is a small *untrained* instance artifact — latency
+The engine hammering uses a small *untrained* instance artifact — latency
 and correctness of the threading machinery do not depend on the weights,
 and skipping training keeps the hammering tight.
 """
 
+import sys
 import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
@@ -289,92 +292,49 @@ class TestEngineCacheHammering:
         assert engine.stats["rows"] == 8 * 10
 
 
-@pytest.fixture(scope="module", params=formulations.servable())
-def plan_served(request):
-    """``(artifact, numerical, categorical, reference)`` for one servable
-    formulation: 32 distinct training rows and their served probabilities."""
+@pytest.mark.parametrize("form", formulations.servable())
+def test_one_plan_serves_concurrent_callers(form):
+    # A compiled plan holds no per-request state: eight threads scoring
+    # 1-, 7- and 16-row blocks through one engine's scorer, with no engine
+    # lock around them, each get exactly the serial answer for their block.
+    # The plan's feeds are read-only, so a kernel that wrote one raises.
     dataset = make_fraud(n=80, seed=0)
     artifact = run_pipeline(
-        dataset, formulation=request.param, max_epochs=2, seed=0
+        dataset, formulation=form, max_epochs=2, seed=0
     ).export_artifact()
-    numerical, categorical = dataset.numerical[:32], dataset.categorical[:32]
-    reference = InferenceEngine(artifact, cache_size=0).predict_batch(
-        numerical, categorical
+    engine = InferenceEngine(artifact, cache_size=0)
+    assert engine.compiled
+    scorer, plan = engine._scorer, engine._scorer.plan
+    run = plan.run
+
+    def run_on_read_only_feeds(feeds):
+        for array in feeds.values():
+            array.flags.writeable = False
+        return run(feeds)
+
+    plan.run = run_on_read_only_feeds
+    numerical, categorical = artifact.preprocessor.normalize_rows(
+        dataset.numerical, dataset.categorical
     )
-    return artifact, numerical, categorical, reference
+    rng = np.random.default_rng(5)
+    blocks = [
+        slice(start, start + size)
+        for size in rng.permutation(np.repeat([1, 7, 16], 256))
+        for start in [int(rng.integers(0, 80 - size))]
+    ]
 
+    def score(block):
+        # copied at once: the check sees what this call computed, even if
+        # a later call were to write into the array it returned
+        return scorer.score(numerical[block], categorical[block]).copy()
 
-class TestCompiledPlanBuffers:
-    """Allocation stability and isolation of the compiled serve path.
-
-    The compiled plan owns its scratch/output buffers: after the first
-    request at a given batch size, repeated requests reuse the very same
-    arrays (no allocation on the hot path), and a batch-size change
-    triggers exactly one reallocation.  Buffers are per-engine — two
-    engines serving the same artifact never share mutable state, which is
-    what makes the engine-lock-per-engine threading model sound.  Every
-    servable formulation's plan is held to this.
-    """
-
-    def test_output_buffer_stable_across_requests(self, plan_served):
-        artifact, numerical, categorical, _ = plan_served
-        engine = InferenceEngine(artifact, cache_size=0)
-        assert engine.compiled
-        plan = engine._scorer.plan
-        engine.predict(numerical[0], categorical[0])
-        assert plan.reallocations == 1
-        out_id = id(plan.buffers[plan.output])
-        buffer_ids = {name: id(buf) for name, buf in plan.buffers.items()}
-        for i in range(1, 12):
-            engine.predict(numerical[i], categorical[i])
-        assert plan.reallocations == 1  # warm path never reallocates
-        assert id(plan.buffers[plan.output]) == out_id
-        assert {name: id(buf) for name, buf in plan.buffers.items()} == buffer_ids
-
-    def test_batch_size_change_reallocates_exactly_once(self, plan_served):
-        artifact, numerical, categorical, _ = plan_served
-        engine = InferenceEngine(artifact, cache_size=0)
-        plan = engine._scorer.plan
-        engine.predict_batch(numerical[:8], categorical[:8])
-        assert plan.reallocations == 1
-        engine.predict_batch(numerical[8:16], categorical[8:16])  # reuse
-        assert plan.reallocations == 1
-        engine.predict_batch(numerical[:16], categorical[:16])  # one realloc
-        assert plan.reallocations == 2
-        engine.predict_batch(numerical[16:32], categorical[16:32])
-        assert plan.reallocations == 2
-
-    def test_concurrent_engines_do_not_share_plan_buffers(self, plan_served):
-        artifact, numerical, categorical, reference = plan_served
-        engines = [InferenceEngine(artifact, cache_size=0) for _ in range(2)]
-        for engine in engines:
-            engine.predict_batch(numerical[:4], categorical[:4])
-        plans = [e._scorer.plan for e in engines]
-        assert plans[0] is not plans[1]
-        ids = [
-            {id(buf) for buf in plan.buffers.values()} for plan in plans
-        ]
-        assert not ids[0] & ids[1], "engines share mutable plan buffers"
-        # And hammering both concurrently stays correct.
-        errors = []
-
-        def worker(engine):
-            try:
-                for i in range(40):
-                    row = i % 16
-                    np.testing.assert_allclose(
-                        engine.predict(numerical[row], categorical[row]),
-                        reference[row], atol=1e-12,
-                    )
-            except Exception as exc:  # noqa: BLE001 - surfaced below
-                errors.append(exc)
-
-        threads = [
-            threading.Thread(target=worker, args=(engine,))
-            for engine in engines for _ in range(4)
-        ]
-        for t in threads:
-            t.start()
-        for t in threads:
-            t.join()
-        assert not errors
+    serial = [score(block) for block in blocks]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)  # switch threads often, so races show
+    try:
+        with ThreadPoolExecutor(8) as pool:
+            answers = list(pool.map(score, blocks, timeout=120))
+    finally:
+        sys.setswitchinterval(interval)
+    for block, got, want in zip(blocks, answers, serial):
+        assert np.array_equal(got, want), block
