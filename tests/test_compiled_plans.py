@@ -104,6 +104,20 @@ class TestPlanMachinery:
         np.testing.assert_array_equal(second, 0.0)
         np.testing.assert_array_equal(feed, -1.0)
 
+    def test_concat_step_joins_earlier_results_by_column(self):
+        # The multiplex head reads [fused | self] through one concat step.
+        plan = InferencePlan()
+        plan.feed("x")
+        w = plan.const("w", np.eye(2))
+        left = plan.step(kernels.linear, ("x", w), "left")
+        right = plan.step(kernels.relu, ("x",), "right")
+        plan.output = plan.step(kernels.concat, (left, right), "combined")
+        assert plan.ops == ("linear", "relu", "concat")
+        got = plan.run({"x": np.full((3, 2), -1.5)})
+        assert got.shape == (3, 4)
+        np.testing.assert_array_equal(got[:, :2], -1.5)
+        np.testing.assert_array_equal(got[:, 2:], 0.0)
+
     @pytest.mark.parametrize(("form", "network"), PLAN_CELLS)
     def test_every_step_op_is_in_the_kernel_vocabulary(
         self, form, network, cell_artifact

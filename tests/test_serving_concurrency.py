@@ -10,12 +10,14 @@ concurrently, and
   entries are immutable (caller mutation raises instead of poisoning
   later hits);
 * the ``stats`` counters account for every row exactly once;
-* one compiled plan serves concurrent callers: it holds no per-request
-  state, so runs outside the engine lock answer exactly as serial ones.
+* the compiled plan holds no per-request state: requests leave it as
+  compiled, answers do not depend on the block they are scored in, and
+  runs of one plan outside the engine lock answer exactly as serial ones.
 
 The engine hammering uses a small *untrained* instance artifact — latency
 and correctness of the threading machinery do not depend on the weights,
-and skipping training keeps the hammering tight.
+and skipping training keeps the hammering tight.  The plan tests use one
+briefly trained artifact per servable formulation.
 """
 
 import sys
@@ -292,16 +294,103 @@ class TestEngineCacheHammering:
         assert engine.stats["rows"] == 8 * 10
 
 
-@pytest.mark.parametrize("form", formulations.servable())
-def test_one_plan_serves_concurrent_callers(form):
+@pytest.fixture(scope="module", params=formulations.servable())
+def plan_served(request):
+    """``(artifact, numerical, categorical, reference)`` for one servable
+    formulation: its 80 training rows and their served probabilities."""
+    dataset = make_fraud(n=80, seed=0)
+    artifact = run_pipeline(
+        dataset, formulation=request.param, max_epochs=2, seed=0
+    ).export_artifact()
+    numerical, categorical = dataset.numerical, dataset.categorical
+    reference = InferenceEngine(artifact, cache_size=0).predict_batch(
+        numerical, categorical
+    )
+    return artifact, numerical, categorical, reference
+
+
+class TestCompiledPlanIsolation:
+    """The compiled serve path holds no per-request state.
+
+    A plan's kernels return new arrays and write none of their inputs, so
+    requests leave the plan as it was compiled, an answer once returned is
+    never written again, a row's answer does not depend on the block it is
+    scored in, and engines over one artifact serve concurrent callers
+    their own rows.  Every servable formulation's plan is held to this.
+    """
+
+    def test_requests_leave_the_plan_as_compiled(self, plan_served):
+        artifact, numerical, categorical, _ = plan_served
+        engine = InferenceEngine(artifact, cache_size=0)
+        assert engine.compiled
+        plan = engine._scorer.plan
+        # read-only copies, so a kernel that wrote a constant raises
+        for name in list(plan.consts):
+            plan.consts[name] = plan.consts[name].copy()
+            plan.consts[name].flags.writeable = False
+        steps, feeds, output = list(plan.steps), list(plan.feeds), plan.output
+        consts = {name: array.copy() for name, array in plan.consts.items()}
+        held = [engine.predict(numerical[i], categorical[i]) for i in range(12)]
+        held += [
+            engine.predict_batch(numerical[rows], categorical[rows])
+            for rows in (slice(0, 8), slice(8, 24), slice(24, 25))
+        ]
+        copies = [answer.copy() for answer in held]
+        engine.predict_batch(numerical[:16], categorical[:16])
+        assert (plan.steps, plan.feeds, plan.output) == (steps, feeds, output)
+        assert plan.consts.keys() == consts.keys()
+        for name, array in consts.items():
+            assert np.array_equal(plan.consts[name], array), name
+        for answer, copy in zip(held, copies):
+            assert np.array_equal(answer, copy)
+
+    def test_answers_do_not_depend_on_the_block_size(self, plan_served):
+        artifact, numerical, categorical, reference = plan_served
+        engine = InferenceEngine(artifact, cache_size=0)
+        for rows in (slice(0, 8), slice(8, 16), slice(0, 16), slice(16, 32)):
+            np.testing.assert_allclose(
+                engine.predict_batch(numerical[rows], categorical[rows]),
+                reference[rows], atol=1e-12,
+            )
+        for i in (0, 31, 79):
+            np.testing.assert_allclose(
+                engine.predict(numerical[i], categorical[i]), reference[i],
+                atol=1e-12,
+            )
+
+    def test_concurrent_engines_serve_their_callers(self, plan_served):
+        artifact, numerical, categorical, reference = plan_served
+        engines = [InferenceEngine(artifact, cache_size=0) for _ in range(2)]
+        errors = []
+
+        def worker(engine):
+            try:
+                for i in range(40):
+                    row = i % 16
+                    np.testing.assert_allclose(
+                        engine.predict(numerical[row], categorical[row]),
+                        reference[row], atol=1e-12,
+                    )
+            except Exception as exc:  # noqa: BLE001 - surfaced below
+                errors.append(exc)
+
+        threads = [
+            threading.Thread(target=worker, args=(engine,))
+            for engine in engines for _ in range(4)
+        ]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join()
+        assert not errors
+
+
+def test_one_plan_serves_concurrent_callers(plan_served):
     # A compiled plan holds no per-request state: eight threads scoring
     # 1-, 7- and 16-row blocks through one engine's scorer, with no engine
     # lock around them, each get exactly the serial answer for their block.
     # The plan's feeds are read-only, so a kernel that wrote one raises.
-    dataset = make_fraud(n=80, seed=0)
-    artifact = run_pipeline(
-        dataset, formulation=form, max_epochs=2, seed=0
-    ).export_artifact()
+    artifact, numerical, categorical, _ = plan_served
     engine = InferenceEngine(artifact, cache_size=0)
     assert engine.compiled
     scorer, plan = engine._scorer, engine._scorer.plan
@@ -314,7 +403,7 @@ def test_one_plan_serves_concurrent_callers(form):
 
     plan.run = run_on_read_only_feeds
     numerical, categorical = artifact.preprocessor.normalize_rows(
-        dataset.numerical, dataset.categorical
+        numerical, categorical
     )
     rng = np.random.default_rng(5)
     blocks = [
